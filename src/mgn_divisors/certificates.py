@@ -22,6 +22,7 @@ from .picard import (
     Coefficient,
     DivisorClass,
     MalformedClassError,
+    PicardError,
     Space,
     SpaceMismatchError,
     UnmarkedClass,
@@ -151,12 +152,13 @@ def catalog_load(path) -> dict:
     """Built-in catalog merged with (and overridden by) a JSON file.
 
     File schema: {"entries": [{"name": ..., "kind": "marked"|"unmarked",
-    "class": <class document>, "note": ...}, ...]}.
+    "class": <class document>, "note": ...}, ...]}.  Any defect of the file,
+    from text that is not JSON to an invalid class, raises MalformedClassError.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
     cat = dict(_CATALOG)
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
         for entry in doc["entries"]:
             name = entry["name"]
             kind = entry["kind"]
@@ -167,7 +169,7 @@ def catalog_load(path) -> dict:
             else:
                 raise MalformedClassError(f"unknown catalog kind {kind!r}")
             cat[name] = CatalogEntry(name, cls, entry.get("note", ""))
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError, PicardError) as e:
         raise MalformedClassError(f"malformed catalog file: {e}") from e
     return cat
 

@@ -93,22 +93,22 @@ def check_recurrences(t_max: int = 8):
                           verify_b1_recurrence(s, t), True))
 
     for t0 in range(t_max + 1):
-        _, n = gn_pair(t0)
+        g, n = gn_pair(t0)
         for s0 in range(1, n + 1):
             for i0 in range(0, s0):
                 lhs = d1_phi_prime(i0, s0, t0)
-                g, nn = gn_pair(t0)
-                rhs = ((2 * g - 2 * i0 - 2 + nn - s0) * tilde_b(i0, s0, t0)
-                       - (nn - s0) * tilde_b(i0, s0 + 1, t0) + (nn - s0) * t0)
+                rhs = ((2 * g - 2 * i0 - 2 + n - s0) * tilde_b(i0, s0, t0)
+                       - (n - s0) * tilde_b(i0, s0 + 1, t0) + (n - s0) * t0)
                 records.append(record(
                     "tilde_recurrence", {"i": i0, "s": s0, "t": t0}, lhs, rhs))
+        q = quad_class(t0)
         for s0 in range(1, n + 1):
             lhs = d1_theta(s0, t0)
             rhs = b1_recurrence_rhs(s0, t0)
             records.append(record("b1_recurrence", {"s": s0, "t": t0}, lhs, rhs))
             records.append(record(
                 "b1_recurrence_pairing", {"s": s0, "t": t0},
-                b1_pairing_via_class(s0, t0), lhs))
+                b1_pairing_via_class(q, s0), lhs))
         for (i0, s0, tv, bv, ok) in tilde_vs_known_b(t0):
             records.append({
                 "op": "tilde_b_below_known_b",
@@ -147,13 +147,14 @@ def check_pullbacks():
     records.append(record("forgetful_bn5_equals_quad_t0", {},
                           bn5_pullback() == quad_class(0), True))
 
-    p168 = quad3_pullback_16_8(1, 2)
+    q3 = quad_class(3)
+    p168 = quad3_pullback_16_8(q3, 1, 2)
     records.append(record("clutch_16_8_interior", {"i": 1, "j": 2},
                           [str(p168.lam), str(p168.psi_coefficient(1)),
                            str(p168.psi_coefficient(2)), str(p168.psi_coefficient(3)),
                            str(p168.delta_irr)],
                           ["5", "9", "10", "3", "-1"]))
-    p178 = quad3_pullback_17_8(1, 2)
+    p178 = quad3_pullback_17_8(q3, 1, 2)
     records.append(record("clutch_17_8_interior", {"i": 1, "j": 2},
                           [str(p178.lam), str(p178.psi_coefficient(1)),
                            str(p178.psi_coefficient(2)), str(p178.psi_coefficient(3)),

@@ -18,7 +18,7 @@ import click
 from . import checks
 from .certificates import CertificateError, canonical_class, catalog_load
 from .family import gn_pair, quad_class
-from .picard import class_to_dict
+from .picard import MalformedClassError, class_to_dict
 from .presets import averaged_class_16_8, averaged_class_17_8, bn5_pullback, certify
 
 
@@ -127,10 +127,10 @@ def verify(suite, t_max, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def certify_cmd(g, n, catalog_path, as_json):
     """Solve the general-type certificate for a supported (g, n)."""
-    catalog = catalog_load(catalog_path) if catalog_path else None
     try:
+        catalog = catalog_load(catalog_path) if catalog_path else None
         cert = certify(g, n, catalog)
-    except ValueError as e:
+    except (ValueError, MalformedClassError) as e:
         raise click.UsageError(str(e))
     except CertificateError as e:
         click.echo(f"FAIL {e}", err=True)

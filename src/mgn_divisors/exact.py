@@ -87,12 +87,6 @@ class Poly:
             raise ValueError("polynomial is not constant")
         return self.terms.get((), Fraction(0))
 
-    def degree_in(self, name: str) -> int:
-        if name not in self.variables:
-            return 0
-        k = self.variables.index(name)
-        return max((e[k] for e in self.terms), default=0)
-
     def _aligned(self, other: "Poly"):
         names = tuple(sorted(set(self.variables) | set(other.variables)))
 
@@ -207,10 +201,6 @@ class Poly:
             else:
                 parts.append(str(coef))
         return "Poly(" + " + ".join(parts) + ")"
-
-
-def poly_eval(p: Poly, assignment) -> Fraction:
-    return p.eval(assignment)
 
 
 def poly_equal(p: Poly, q: Poly) -> bool:

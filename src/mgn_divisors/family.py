@@ -18,7 +18,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import LinearSystem, Poly, invert_matrix, rat, solve_linear
-from .picard import Coefficient, DivisorClass, Space, boundary_orbits
+from .picard import (
+    Coefficient,
+    DivisorClass,
+    Space,
+    TestCurve,
+    boundary_orbits,
+    intersect_test_curve,
+)
 
 
 HALF = Fraction(1, 2)
@@ -223,13 +230,10 @@ def verify_b1_recurrence(s, t) -> bool:
     return d1_theta(s, t) == b1_recurrence_rhs(s, t)
 
 
-def b1_pairing_via_class(s: int, t: int) -> Fraction:
-    """Same left side, third way: pair quad_class(t) with T_{1:{1..s}}."""
-    from .picard import TestCurve, intersect_test_curve
-
-    space = family_space(t)
-    curve = TestCurve(space, 1, frozenset(range(1, s + 1)))
-    return intersect_test_curve(quad_class(t), curve)
+def b1_pairing_via_class(q: DivisorClass, s: int) -> Fraction:
+    """Same left side, third way: pair the family class q = quad_class(t)
+    with T_{1:{1..s}}."""
+    return intersect_test_curve(q, TestCurve(q.space, 1, frozenset(range(1, s + 1))))
 
 
 # ---------------------------------------------------------------------------

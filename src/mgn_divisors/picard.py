@@ -215,16 +215,20 @@ def canonical_index(space: Space, i: int, S) -> BoundaryIndex:
     return BoundaryIndex(i, S)
 
 
+def is_orbit(space: Space, i: int, s: int) -> bool:
+    """Whether (i, s) keys a canonical boundary orbit: 0 <= i <= g/2 and
+    0 <= s <= n with a stable split, and s >= 1 when i = g/2 (the canonical
+    representative there contains label 1)."""
+    g, n = space.g, space.n
+    return (0 <= 2 * i <= g and 0 <= s <= n and _stable_split(g, n, i, s)
+            and not (2 * i == g and s == 0))
+
+
 def boundary_orbits(space: Space):
     """Canonical (i, s) orbits of boundary divisors, in deterministic order."""
-    g, n = space.g, space.n
-    for i in range(0, g // 2 + 1):
-        for s in range(0, n + 1):
-            if 2 * i == g and s == 0:
-                continue  # canonical rep needs 1 in S
-            if 2 * i == g and n == 0:
-                continue
-            if _stable_split(g, n, i, s):
+    for i in range(0, space.g // 2 + 1):
+        for s in range(0, space.n + 1):
+            if is_orbit(space, i, s):
                 yield (i, s)
 
 
@@ -253,9 +257,6 @@ def all_canonical_indices(space: Space):
 # divisor classes
 
 
-_ENUM_LIMIT = 1_000_000  # refuse to enumerate orbits beyond this many members
-
-
 class DivisorClass:
     """Immutable linear combination of the standard Picard generators.
 
@@ -279,11 +280,10 @@ class DivisorClass:
             self.psi = tuple(coeff(psi) for _ in space.labels)
         self.delta_irr = coeff(delta_irr)
 
-        valid_orbits = set(boundary_orbits(space))
         orbits = {}
         for key, c in (boundary_sym or {}).items():
             key = (int(key[0]), int(key[1]))
-            if key not in valid_orbits:
+            if not is_orbit(space, *key):
                 raise UnstableIndexError(f"no canonical boundary orbit {key} on {space}")
             c = coeff(c)
             if not c.is_zero:
@@ -384,15 +384,15 @@ class DivisorClass:
             return False
         if (self.lam, self.psi, self.delta_irr) != (other.lam, other.psi, other.delta_irr):
             return False
+        explicit = set(self._explicit) | set(other._explicit)
         for key in set(self._orbits) | set(other._orbits):
             if self._orbits.get(key, EXACT_ZERO) != other._orbits.get(key, EXACT_ZERO):
-                # orbit defaults differ: compare member by member
-                if orbit_size(self.space, *key) > _ENUM_LIMIT:
-                    raise PicardError(f"orbit {key} too large to compare exhaustively")
-                for idx in orbit_members(self.space, *key):
-                    if self.boundary_coefficient(idx.i, idx.S) != other.boundary_coefficient(idx.i, idx.S):
-                        return False
-        for idx in set(self._explicit) | set(other._explicit):
+                # the defaults differ, so an index that neither class overrides
+                # tells them apart; only a fully overridden orbit can still agree
+                overridden = sum(1 for idx in explicit if (idx.i, idx.s) == key)
+                if overridden < orbit_size(self.space, *key):
+                    return False
+        for idx in explicit:
             if self.boundary_coefficient(idx.i, idx.S) != other.boundary_coefficient(idx.i, idx.S):
                 return False
         return True
@@ -453,6 +453,10 @@ class TestCurve:
             raise ValueError(f"genus index {i} outside 0..{space.g}")
         if not S <= set(space.labels):
             raise ValueError("test-curve labels outside the marked set")
+        if not _stable_split(space.g, space.n, i, len(S)):
+            raise ValueError(
+                f"unstable test-curve index (i={i}, S={sorted(S)}) on (g={space.g}, n={space.n})"
+            )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "S", S)
@@ -534,10 +538,15 @@ def class_from_dict(doc: dict) -> DivisorClass:
                 raise MalformedClassError(
                     f"non-canonical boundary index (i={i}, S={sorted(S)})"
                 )
+            if idx in boundary:
+                raise MalformedClassError(f"duplicate boundary entry (i={i}, S={sorted(S)})")
             boundary[idx] = Coefficient.from_json(entry["c"])
         sym = {}
         for entry in doc.get("boundary_sym", []):
-            sym[(int(entry["i"]), int(entry["s"]))] = Coefficient.from_json(entry["c"])
+            key = (int(entry["i"]), int(entry["s"]))
+            if key in sym:
+                raise MalformedClassError(f"duplicate boundary_sym entry (i, s) = {key}")
+            sym[key] = Coefficient.from_json(entry["c"])
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedClassError(f"malformed class document: {e}") from e
     return DivisorClass(space, lam=lam, psi=psi, delta_irr=delta_irr,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .certificates import catalog_get, solve_certificate
 from .family import quad_class
-from .picard import DivisorClass, Space
+from .picard import DivisorClass, MalformedClassError, Space, UnmarkedClass
 from .pullbacks import (
     ClutchingMap,
     TailAttachment,
@@ -42,18 +42,18 @@ def _pair_map(source: Space, target: Space, i: int, j: int,
     )
 
 
-def quad3_pullback_16_8(i: int, j: int) -> DivisorClass:
-    """Pullback of the t=3 class along the map attaching an elliptic 2-pointed
-    tail at i and a rational 2-pointed tail at j."""
+def quad3_pullback_16_8(q3: DivisorClass, i: int, j: int) -> DivisorClass:
+    """Pullback of the t=3 class q3 = quad_class(3) along the map attaching an
+    elliptic 2-pointed tail at i and a rational 2-pointed tail at j."""
     m = _pair_map(Space(16, 8), Space(17, 10), i, j, genus_i=1, genus_j=0)
-    return clutch_pullback(quad_class(3), m)
+    return clutch_pullback(q3, m)
 
 
-def quad3_pullback_17_8(i: int, j: int) -> DivisorClass:
-    """Pullback of the t=3 class along the map attaching rational 2-pointed
-    tails at both i and j."""
+def quad3_pullback_17_8(q3: DivisorClass, i: int, j: int) -> DivisorClass:
+    """Pullback of the t=3 class q3 = quad_class(3) along the map attaching
+    rational 2-pointed tails at both i and j."""
     m = _pair_map(Space(17, 8), Space(17, 10), i, j, genus_i=0, genus_j=0)
-    return clutch_pullback(quad_class(3), m)
+    return clutch_pullback(q3, m)
 
 
 def ordered_pairs(n: int):
@@ -61,13 +61,30 @@ def ordered_pairs(n: int):
 
 
 def averaged_class_16_8() -> DivisorClass:
-    fam = [quad3_pullback_16_8(i, j) for i, j in ordered_pairs(8)]
+    q3 = quad_class(3)
+    fam = [quad3_pullback_16_8(q3, i, j) for i, j in ordered_pairs(8)]
     return average_over_pairs(fam, D_16_8_NORMALIZATION)
 
 
 def averaged_class_17_8() -> DivisorClass:
-    fam = [quad3_pullback_17_8(i, j) for i, j in ordered_pairs(8)]
+    q3 = quad_class(3)
+    fam = [quad3_pullback_17_8(q3, i, j) for i, j in ordered_pairs(8)]
     return average_over_pairs(fam, D_17_8_NORMALIZATION)
+
+
+def _catalog_class(name: str, catalog, want):
+    """The class of catalog entry `name`, checked against what its recipe
+    needs: `want` is a Space for a marked class, or a genus for an unmarked one."""
+    cls = catalog_get(name, catalog).cls
+    if isinstance(want, Space):
+        ok = isinstance(cls, DivisorClass) and cls.space == want
+        need = f"a marked class on (g={want.g}, n={want.n})"
+    else:
+        ok = isinstance(cls, UnmarkedClass) and cls.g == want
+        need = f"an unmarked genus-{want} class"
+    if not ok:
+        raise MalformedClassError(f"catalog entry {name!r} must be {need}")
+    return cls
 
 
 def certificate_components(g: int, n: int, catalog=None):
@@ -75,17 +92,17 @@ def certificate_components(g: int, n: int, catalog=None):
     if (g, n) == (16, 8):
         return [
             ("D_16_8", averaged_class_16_8()),
-            ("Z16", forgetful_pullback(catalog_get("Z16", catalog).cls, 8)),
+            ("Z16", forgetful_pullback(_catalog_class("Z16", catalog, 16), 8)),
         ]
     if (g, n) == (17, 8):
         return [
             ("D_17_8", averaged_class_17_8()),
-            ("BN17", catalog_get("BN17", catalog).cls),
+            ("BN17", _catalog_class("BN17", catalog, Space(17, 8))),
         ]
     if (g, n) == (12, 10):
         return [
-            ("D12", forgetful_pullback(catalog_get("D12", catalog).cls, 10)),
-            ("F12_10", catalog_get("F12_10", catalog).cls),
+            ("D12", forgetful_pullback(_catalog_class("D12", catalog, 12), 10)),
+            ("F12_10", _catalog_class("F12_10", catalog, Space(12, 10))),
         ]
     raise ValueError(f"no certificate recipe for (g, n) = ({g}, {n})")
 

@@ -113,14 +113,15 @@ def test_criterion_6_b1_recurrence_three_ways():
     ok = True
     for t in range(9):
         _, n = gn_pair(t)
+        q = quad_class(t)
         for s in range(1, n):
             lhs = d1_theta(s, t)
             ok = ok and verify_b1_recurrence(s, t)
-            ok = ok and lhs == b1_recurrence_rhs(s, t) == b1_pairing_via_class(s, t)
+            ok = ok and lhs == b1_recurrence_rhs(s, t) == b1_pairing_via_class(q, s)
             cases += 1
     spots = (d1_theta(1, 0), d1_theta(1, 1), d1_theta(2, 1))
     ok = ok and spots == (24, 44, 80)
-    ok = ok and b1_pairing_via_class(1, 0) == 24
+    ok = ok and b1_pairing_via_class(quad_class(0), 1) == 24
     report(6, f"genus-1 coefficient recurrence, three-way agreement, {cases} cases", ok)
 
 
@@ -133,13 +134,14 @@ def test_criterion_7_pic12_reduction():
 
 def test_criterion_8_pullback_oracles():
     ok = True
+    q3 = quad_class(3)
     for i, j in [(1, 2), (4, 7)]:
-        p = quad3_pullback_16_8(i, j)
+        p = quad3_pullback_16_8(q3, i, j)
         ok = ok and p.lam == Coefficient.exact(5) and p.delta_irr == Coefficient.exact(-1)
         ok = ok and all(
             p.psi_coefficient(k) == Coefficient.exact(9 if k == i else 10 if k == j else 3)
             for k in Space(16, 8).labels)
-        q = quad3_pullback_17_8(i, j)
+        q = quad3_pullback_17_8(q3, i, j)
         ok = ok and q.lam == Coefficient.exact(5) and q.delta_irr == Coefficient.exact(-1)
         ok = ok and all(
             q.psi_coefficient(k) == Coefficient.exact(10 if k in (i, j) else 3)
@@ -214,7 +216,8 @@ def test_criterion_10_property_suites():
     corpus = [quad_class(t) for t in range(5)]
     corpus += [canonical_class(g, n) for g, n in [(5, 1), (16, 8), (17, 8), (12, 10)]]
     corpus += [bn5_pullback(), averaged_class_16_8(), averaged_class_17_8(),
-               quad3_pullback_16_8(1, 2), quad3_pullback_17_8(3, 4)]
+               quad3_pullback_16_8(quad_class(3), 1, 2),
+               quad3_pullback_17_8(quad_class(3), 3, 4)]
     for cls in corpus:
         text = serialize(cls)
         ok = ok and deserialize(text) == cls and serialize(deserialize(text)) == text

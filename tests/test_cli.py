@@ -127,6 +127,57 @@ class TestCertify:
         assert a == b
 
 
+def _marked_entry(name, g, n):
+    return {"name": name, "kind": "marked", "class": {
+        "space": {"g": g, "n": n}, "lambda": {"exact": "1"}, "delta_irr": {"exact": "-1"}}}
+
+
+class TestCertifyCatalogErrors:
+    """A bad --catalog file is a usage error: one Error line, exit 2, no traceback."""
+
+    def _certify(self, runner, tmp_path, text, g="16", n="8"):
+        path = tmp_path / "catalog.json"
+        path.write_text(text)
+        return runner.invoke(main, ["certify", "--g", g, "--n", n, "--catalog", str(path)])
+
+    def _assert_usage_error(self, result, *needles):
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1
+        for needle in needles:
+            assert needle in errors[0]
+
+    def test_not_json(self, runner, tmp_path):
+        self._assert_usage_error(self._certify(runner, tmp_path, "{not json"), "catalog")
+
+    def test_wrong_kind(self, runner, tmp_path):
+        doc = {"entries": [_marked_entry("Z16", 16, 8)]}
+        result = self._certify(runner, tmp_path, json.dumps(doc))
+        self._assert_usage_error(result, "'Z16'", "unmarked genus-16")
+
+    def test_wrong_space(self, runner, tmp_path):
+        doc = {"entries": [_marked_entry("BN17", 17, 9)]}
+        result = self._certify(runner, tmp_path, json.dumps(doc), g="17", n="8")
+        self._assert_usage_error(result, "'BN17'", "(g=17, n=8)")
+
+    def test_invalid_class_in_entry(self, runner, tmp_path):
+        entry = _marked_entry("F12_10", 12, 10)
+        entry["class"]["boundary_sym"] = [{"i": 0, "s": 1, "c": {"exact": "1"}}]
+        result = self._certify(runner, tmp_path, json.dumps({"entries": [entry]}),
+                               g="12", n="10")
+        self._assert_usage_error(result, "catalog")
+
+    def test_valid_override_still_certifies(self, runner, tmp_path):
+        doc = {"entries": [{"name": "BN17", "kind": "marked", "class": {
+            "space": {"g": 17, "n": 8}, "lambda": {"exact": "20"},
+            "delta_irr": {"exact": "-3"}}}]}
+        result = self._certify(runner, tmp_path, json.dumps(doc), g="17", n="8")
+        assert result.exit_code == 0
+        assert "a = 1/20" in result.output
+
+
 def test_width_env_wraps_output(runner, monkeypatch):
     monkeypatch.setenv("MGNDIV_WIDTH", "40")
     narrow = runner.invoke(main, ["class", "quad", "--t", "0"]).output

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from mgn_divisors import checks
 from mgn_divisors.exact import Poly
 from mgn_divisors.family import (
     b0,
@@ -154,10 +155,17 @@ class TestRecurrences:
     @pytest.mark.parametrize("t", range(0, 9))
     def test_b1_recurrence_grid_three_ways(self, t):
         _, n = gn_pair(t)
+        q = quad_class(t)
         for s in range(1, n + 1):
             lhs = d1_theta(s, t)
             assert lhs == b1_recurrence_rhs(s, t)
-            assert lhs == b1_pairing_via_class(s, t)
+            assert lhs == b1_pairing_via_class(q, s)
+
+    def test_recurrence_sweep_builds_each_class_once(self, quad_class_builds):
+        built = quad_class_builds(checks)
+        records = checks.check_recurrences(3)
+        assert built == [0, 1, 2, 3]
+        assert checks.summarize(records)["all_pass"]
 
     def test_b1_recurrence_domain(self):
         with pytest.raises(ValueError):

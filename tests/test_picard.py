@@ -22,6 +22,7 @@ from mgn_divisors.picard import (
     class_to_dict,
     deserialize,
     intersect_test_curve,
+    is_orbit,
     orbit_members,
     orbit_size,
     serialize,
@@ -130,6 +131,36 @@ class TestSpaceAndIndexing:
             for idx in orbit_members(space, i, s):
                 assert canonical_index(space, idx.i, idx.S) == idx
 
+    @given(st.integers(2, 9), st.integers(0, 5))
+    @settings(max_examples=40)
+    def test_is_orbit_matches_boundary_orbits(self, g, n):
+        self._check_is_orbit(Space(g, n))
+
+    # even g (the i = g/2 tie-break), n = 0 and n = 1, always covered
+    @pytest.mark.parametrize("g,n", [(2, 0), (3, 0), (4, 0), (2, 1), (4, 1), (5, 1),
+                                     (6, 2), (8, 3), (7, 4)])
+    def test_is_orbit_edge_spaces(self, g, n):
+        self._check_is_orbit(Space(g, n))
+
+    @staticmethod
+    def _check_is_orbit(space):
+        """is_orbit holds exactly on boundary_orbits, and both agree with the
+        (i, |S|) keys that canonicalizing every (i, S) reaches."""
+        orbits = set(boundary_orbits(space))
+        reached = set()
+        for i in range(space.g + 1):
+            for mask in range(2 ** space.n):
+                S = {j for j in space.labels if mask >> (j - 1) & 1}
+                try:
+                    idx = canonical_index(space, i, S)
+                except UnstableIndexError:
+                    continue
+                reached.add((idx.i, idx.s))
+        assert orbits == reached
+        for i in range(-1, space.g + 2):
+            for s in range(-1, space.n + 2):
+                assert is_orbit(space, i, s) == ((i, s) in orbits)
+
 
 def simple_classes(space):
     coeffs = st.integers(-6, 6)
@@ -187,6 +218,29 @@ class TestDivisorClass:
             SPACE_53, boundary={(1, frozenset({j})): 5 for j in SPACE_53.labels})
         assert via_orbit == via_explicit
 
+    def test_equality_decides_on_huge_orbits(self):
+        # the (0, 22) orbit on (57, 45) has C(45, 22) ~ 4e12 members
+        space = Space(57, 45)
+        one = DivisorClass(space, boundary_sym={(0, 22): 1})
+        two = DivisorClass(space, boundary_sym={(0, 22): 2})
+        assert (one == two) is False
+        assert (one == DivisorClass(space, boundary_sym={(0, 22): 1})) is True
+
+    def test_equality_counts_overrides_against_orbit(self):
+        # the (1, 1) orbit on (5, 3) has the three members {1}, {2}, {3}
+        via_orbit = DivisorClass(SPACE_53, boundary_sym={(1, 1): 2})
+        members = [(1, frozenset({j})) for j in SPACE_53.labels]
+        covered = DivisorClass(SPACE_53, boundary={m: 2 for m in members})
+        partial = DivisorClass(SPACE_53, boundary={m: 2 for m in members[:2]})
+        off_by_one = DivisorClass(SPACE_53, boundary={m: 2 + (m == members[2]) for m in members})
+        assert via_orbit == covered and covered == via_orbit
+        assert via_orbit != partial and partial != via_orbit
+        assert via_orbit != off_by_one and off_by_one != via_orbit
+        # overrides on both sides may cover the orbit together
+        split = DivisorClass(SPACE_53, boundary_sym={(1, 1): 2}, boundary={members[0]: 0})
+        other = DivisorClass(SPACE_53, boundary={members[1]: 2, members[2]: 2})
+        assert split == other and other == split
+
     @given(simple_classes(SPACE_53), simple_classes(SPACE_53))
     @settings(max_examples=40)
     def test_add_commutes(self, a, b):
@@ -199,6 +253,12 @@ class TestPairing:
         curve = Pencil(SPACE_53, 1, {1})
         with pytest.raises(InsufficientInformationError):
             intersect_test_curve(cls, curve)
+
+    def test_unstable_test_curve_rejected_when_built(self):
+        with pytest.raises(ValueError, match="unstable"):
+            Pencil(SPACE_53, 0, {1})
+        with pytest.raises(ValueError, match="unstable"):
+            Pencil(SPACE_53, 5, {1, 2})
 
     def test_uninvolved_bound_is_fine(self):
         cls = DivisorClass(SPACE_53, lam=3, boundary_sym={(2, 0): UNKNOWN})
@@ -252,6 +312,18 @@ class TestSerialization:
         doc = class_to_dict(DivisorClass(SPACE_53))
         doc["boundary"] = [{"i": 0, "S": [1], "c": {"exact": "1"}}]
         with pytest.raises((MalformedClassError, UnstableIndexError)):
+            class_from_dict(doc)
+
+    def test_duplicate_boundary_entry_rejected(self):
+        doc = class_to_dict(DivisorClass(SPACE_53, boundary={(1, frozenset({1})): 2}))
+        doc["boundary"].append({"i": 1, "S": [1], "c": {"exact": "5"}})
+        with pytest.raises(MalformedClassError, match="duplicate"):
+            class_from_dict(doc)
+
+    def test_duplicate_boundary_sym_entry_rejected(self):
+        doc = class_to_dict(DivisorClass(SPACE_53, boundary_sym={(1, 2): 7}))
+        doc["boundary_sym"].append({"i": 1, "s": 2, "c": {"exact": "7"}})
+        with pytest.raises(MalformedClassError, match="duplicate"):
             class_from_dict(doc)
 
     def test_malformed_document(self):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mgn_divisors import presets
 from mgn_divisors.exact import Poly
 from mgn_divisors.family import b0, b1, quad_class
 from mgn_divisors.picard import (
@@ -103,7 +104,7 @@ class TestClutchPullback:
     @pytest.mark.parametrize("i,j", [(1, 2), (3, 7), (8, 1)])
     def test_elliptic_rational_oracle(self, i, j):
         """5L + 3 sum psi + 9 psi_i + 10 psi_j - delta_irr on the interior."""
-        out = quad3_pullback_16_8(i, j)
+        out = quad3_pullback_16_8(quad_class(3), i, j)
         assert out.lam == Coefficient.exact(5)
         assert out.delta_irr == Coefficient.exact(-1)
         for k in Space(16, 8).labels:
@@ -112,7 +113,7 @@ class TestClutchPullback:
 
     @pytest.mark.parametrize("i,j", [(1, 2), (5, 6)])
     def test_two_rational_oracle(self, i, j):
-        out = quad3_pullback_17_8(i, j)
+        out = quad3_pullback_17_8(quad_class(3), i, j)
         assert out.lam == Coefficient.exact(5)
         assert out.delta_irr == Coefficient.exact(-1)
         for k in Space(17, 8).labels:
@@ -120,12 +121,12 @@ class TestClutchPullback:
             assert out.psi_coefficient(k) == Coefficient.exact(expected)
 
     def test_psi_gain_matches_family_coefficients(self):
-        out = quad3_pullback_16_8(1, 2)
+        out = quad3_pullback_16_8(quad_class(3), 1, 2)
         assert out.psi_coefficient(1).value == b1(2, 3)
         assert out.psi_coefficient(2).value == b0(2, 3)
 
     def test_boundary_becomes_unknown(self):
-        out = quad3_pullback_16_8(1, 2)
+        out = quad3_pullback_16_8(quad_class(3), 1, 2)
         assert out.boundary_coefficient(1, set()) == UNKNOWN
 
     def test_boundary_free_input_stays_exact(self):
@@ -169,6 +170,12 @@ class TestAveraging:
         psi_total = 7 * 9 + 7 * 10 + 42 * 3
         assert averaged_class_16_8().psi_coefficient(1).value == Fraction(8 * psi_total, 56)
         assert averaged_class_16_8().lam.value == Fraction(8 * 56 * 5, 56)
+
+    @pytest.mark.parametrize("average", [averaged_class_16_8, averaged_class_17_8])
+    def test_average_builds_the_family_class_once(self, quad_class_builds, average):
+        built = quad_class_builds(presets)
+        average()
+        assert built == [3]
 
 
 class TestPic12Reduce:
