@@ -29,6 +29,7 @@ from .picard import (
     boundary_orbits,
     class_from_dict,
     class_to_dict,
+    is_orbit,
     unmarked_from_dict,
     unmarked_to_dict,
 )
@@ -55,15 +56,15 @@ def canonical_class(g: int, n: int) -> DivisorClass:
 
     13 lambda - 2 delta_irr + sum psi_j - 2 sum delta_{0:S} - 3 sum delta_{1:S}
     - 2 sum_{i>=2} delta_{i:S}, keyed on canonical representatives (a
-    pre-canonical genus index g-1 resolves through the i=1 rule, etc.).
+    pre-canonical genus index g-1 resolves through the i=1 rule, etc.): the
+    boundary rest is -2 and only the i=1 row is listed.
     """
     if n < 1:
         raise ValueError("canonical_class handles marked spaces (n >= 1)")
     space = Space(g, n)
-    sym = {}
-    for (i, s) in boundary_orbits(space):
-        sym[(i, s)] = Coefficient.exact(-3 if i == 1 else -2)
-    return DivisorClass(space, lam=13, psi=1, delta_irr=-2, boundary_sym=sym)
+    sym = {(1, s): -3 for s in range(n + 1) if is_orbit(space, 1, s)}
+    return DivisorClass(space, lam=13, psi=1, delta_irr=-2, boundary_sym=sym,
+                        boundary_rest=-2)
 
 
 def psi_sum_class(space: Space) -> DivisorClass:
@@ -116,7 +117,7 @@ def _builtin_catalog() -> dict:
                 Space(17, 8),
                 lam=20,
                 delta_irr=-3,
-                boundary_sym={key: unknown_tail for key in boundary_orbits(Space(17, 8))},
+                boundary_rest=unknown_tail,
             ),
             "Brill-Noether divisor pulled back to the 8-pointed genus-17 space",
         ),
@@ -126,7 +127,7 @@ def _builtin_catalog() -> dict:
                 Space(12, 10),
                 psi=9,
                 delta_irr=-1,
-                boundary_sym={key: unknown_tail for key in boundary_orbits(Space(12, 10))},
+                boundary_rest=unknown_tail,
             ),
             "degree-11 pencils with the 10 points in a fiber; boundary tail unpublished",
         ),
@@ -276,8 +277,7 @@ def solve_certificate(space: Space, components) -> Certificate:
 
     report = []
     for key in boundary_orbits(space):
-        report.append(("orbit", key, _residual_status(
-            residual._orbits.get(key, Coefficient.exact(0)))))
+        report.append(("orbit", key, _residual_status(residual.orbit_coefficient(*key))))
     for idx, v in residual.boundary_items():
         report.append(("index", (idx.i, tuple(sorted(idx.S))), _residual_status(v)))
 

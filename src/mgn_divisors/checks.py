@@ -48,12 +48,13 @@ def _fmt(x) -> str:
 
 
 def record(op: str, inputs: dict, lhs, rhs) -> dict:
+    lhs_text, rhs_text = _fmt(lhs), _fmt(rhs)
     return {
         "op": op,
         "inputs": inputs,
-        "lhs": _fmt(lhs),
-        "rhs": _fmt(rhs),
-        "pass": _fmt(lhs) == _fmt(rhs) if not isinstance(lhs, bool) else lhs is rhs,
+        "lhs": lhs_text,
+        "rhs": rhs_text,
+        "pass": lhs_text == rhs_text if not isinstance(lhs, bool) else lhs is rhs,
     }
 
 

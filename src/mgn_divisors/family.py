@@ -123,27 +123,24 @@ def quad_class(t: int) -> DivisorClass:
     Boundary entries with i in {0, 1} carry the exact closed forms (keyed to
     the canonical (i, |S|), so mirrored representatives resolve through
     canonicalization).  Entries with 2 <= i <= g/2 are only bounded: the
-    subtracted multiplicity is >= 1, stored as AtMost(-1).  The t=0 class is
-    the pullback of the classical genus-5 Brill-Noether divisor and is fully
-    known, so its i=2 entries are Exact(-6).
+    subtracted multiplicity is >= 1, stored as the boundary rest AtMost(-1).
+    The t=0 class is the pullback of the classical genus-5 Brill-Noether
+    divisor and is fully known, so its i=2 entries are Exact(-6).
     """
     space = family_space(t)
     sym = {}
-    for (i, s) in boundary_orbits(space):
-        if i == 0:
-            sym[(i, s)] = Coefficient.exact(-b0(s, t))
-        elif i == 1:
-            sym[(i, s)] = Coefficient.exact(-b1(s, t))
-        elif t == 0:
-            sym[(i, s)] = Coefficient.exact(-6)  # classical BN^1_{5,3} value
-        else:
-            sym[(i, s)] = Coefficient.at_most(-1)
+    for (i, s) in boundary_orbits(space):  # ordered by i: only rows 0 and 1 are listed
+        if i > 1:
+            break
+        sym[(i, s)] = Coefficient.exact(-b0(s, t) if i == 0 else -b1(s, t))
     return DivisorClass(
         space,
         lam=8 - t,
         psi=Fraction(t),
         delta_irr=-1,
         boundary_sym=sym,
+        # classical BN^1_{5,3} value at t = 0
+        boundary_rest=Coefficient.exact(-6) if t == 0 else Coefficient.at_most(-1),
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .picard import Coefficient, DivisorClass, Space, boundary_orbits
+from .picard import Coefficient, DivisorClass, Space
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,7 @@ def uniform_bundle(space: Space, power: int, twist: int) -> FiberwiseLineBundle:
 def total_boundary(space: Space, scalar=1) -> DivisorClass:
     """delta_irr plus every canonical boundary divisor, times scalar."""
     c = Coefficient.exact(scalar)
-    return DivisorClass(
-        space,
-        delta_irr=c,
-        boundary_sym={key: c for key in boundary_orbits(space)},
-    )
+    return DivisorClass(space, delta_irr=c, boundary_rest=c)
 
 
 def c1_pushforward(space: Space, bundle: FiberwiseLineBundle,
@@ -73,9 +69,7 @@ def c1_pushforward(space: Space, bundle: FiberwiseLineBundle,
         lam=1 + 12 * kappa_weight,
         psi={j: kappa_weight - Fraction(d[j] * d[j] + d[j], 2) for j in space.labels},
         delta_irr=-kappa_weight,
-        boundary_sym={key: Coefficient.exact(-kappa_weight) for key in boundary_orbits(space)}
-        if kappa_weight
-        else {},
+        boundary_rest=-kappa_weight,
     )
     if r1_correction is not None:
         out = out.add(r1_correction)

@@ -6,10 +6,13 @@ Coefficients are tri-state-plus-one: Exact, AtLeast (lower bound), AtMost
 (upper bound), Unknown; the bound variants exist because some sources pin a
 coefficient only up to a sign-aware inequality.
 
-Boundary data is stored in two layers: explicit per-index entries and
-symmetric per-orbit entries keyed by canonical (i, |S|).  The symmetric layer
-is what makes large spaces (n up to 45 in the verification sweeps) tractable:
-every class this package constructs is label-symmetric on the boundary.
+Boundary data is stored in three layers, each overriding the one before: a
+rest coefficient shared by every boundary divisor, per-orbit entries keyed by
+canonical (i, |S|), and explicit per-index entries.  The symmetric layers are
+what make large spaces (n up to 153 in the verification sweeps) tractable:
+every class this package constructs is label-symmetric on the boundary, and
+most share one coefficient on all but a few orbits, so arithmetic costs
+O(listed orbits + explicit entries), not O(all orbits).
 """
 
 from __future__ import annotations
@@ -232,6 +235,17 @@ def boundary_orbits(space: Space):
                 yield (i, s)
 
 
+def orbit_count(space: Space) -> int:
+    """Number of canonical boundary orbits, without enumerating them.
+
+    For 0 <= i <= g/2 the genus-(g-i) side has genus >= 1, so (i, s) is an
+    orbit iff s >= 2 when i = 0, s >= 1 when i = g/2, and any 0 <= s <= n
+    otherwise (see is_orbit)."""
+    g, n = space.g, space.n
+    return sum(max(0, n + 1 - (2 if i == 0 else 1 if 2 * i == g else 0))
+               for i in range(g // 2 + 1))
+
+
 def orbit_size(space: Space, i: int, s: int) -> int:
     if 2 * i == space.g:
         return comb(space.n - 1, s - 1)
@@ -260,14 +274,19 @@ def all_canonical_indices(space: Space):
 class DivisorClass:
     """Immutable linear combination of the standard Picard generators.
 
-    `boundary` holds explicit per-index coefficients, `boundary_sym` holds
-    per-orbit (i, s) defaults; an explicit entry overrides its orbit, absent
-    means Exact(0).  All arithmetic is generator-wise Coefficient arithmetic.
+    The boundary coefficient of delta_{i:S} is read from three layers, each
+    overriding the one before: `boundary_rest`, shared by every boundary
+    divisor (default Exact(0)); `boundary_sym`, per-orbit (i, s) entries; and
+    `boundary`, explicit per-index entries.  The stored form is normal: an
+    orbit entry equal to the rest, or an explicit entry equal to its orbit's
+    value, is dropped.  All arithmetic is generator-wise Coefficient
+    arithmetic and costs O(listed orbits + explicit entries).
     """
 
-    __slots__ = ("space", "lam", "psi", "delta_irr", "_explicit", "_orbits")
+    __slots__ = ("space", "lam", "psi", "delta_irr", "_explicit", "_orbits", "_rest")
 
-    def __init__(self, space, lam=0, psi=0, delta_irr=0, boundary=None, boundary_sym=None):
+    def __init__(self, space, lam=0, psi=0, delta_irr=0, boundary=None, boundary_sym=None,
+                 boundary_rest=EXACT_ZERO):
         self.space = space
         self.lam = coeff(lam)
         if isinstance(psi, dict):
@@ -280,13 +299,14 @@ class DivisorClass:
             self.psi = tuple(coeff(psi) for _ in space.labels)
         self.delta_irr = coeff(delta_irr)
 
+        rest = coeff(boundary_rest)
         orbits = {}
         for key, c in (boundary_sym or {}).items():
             key = (int(key[0]), int(key[1]))
             if not is_orbit(space, *key):
                 raise UnstableIndexError(f"no canonical boundary orbit {key} on {space}")
             c = coeff(c)
-            if not c.is_zero:
+            if c != rest:
                 orbits[key] = c
 
         explicit = {}
@@ -299,13 +319,13 @@ class DivisorClass:
             if idx in explicit:
                 c = explicit[idx] + c
             explicit[idx] = c
-        # drop explicit entries that agree with their orbit default
+        # drop explicit entries that agree with their orbit's value
         for idx in list(explicit):
-            default = orbits.get((idx.i, idx.s), EXACT_ZERO)
-            if explicit[idx] == default:
+            if explicit[idx] == orbits.get((idx.i, idx.s), rest):
                 del explicit[idx]
         self._explicit = explicit
         self._orbits = orbits
+        self._rest = rest
 
     # -- accessors ---------------------------------------------------------
 
@@ -313,21 +333,31 @@ class DivisorClass:
     def zero(cls, space: Space) -> "DivisorClass":
         return cls(space)
 
+    def orbit_coefficient(self, i: int, s: int) -> Coefficient:
+        """The coefficient shared by the (i, s) orbit, before explicit entries."""
+        if not is_orbit(self.space, i, s):
+            raise UnstableIndexError(f"no canonical boundary orbit {(i, s)} on {self.space}")
+        return self._orbits.get((i, s), self._rest)
+
     def boundary_coefficient(self, i: int, S) -> Coefficient:
         idx = canonical_index(self.space, i, frozenset(S))
         if idx in self._explicit:
             return self._explicit[idx]
-        return self._orbits.get((idx.i, idx.s), EXACT_ZERO)
+        return self._orbits.get((idx.i, idx.s), self._rest)
 
     def boundary_items(self):
         return sorted(self._explicit.items(), key=lambda kv: kv[0].sort_key())
 
     def boundary_orbit_items(self):
-        return sorted(self._orbits.items())
+        """Sorted (i, s) -> coefficient pairs of every non-zero orbit."""
+        if self._rest.is_zero:
+            return sorted(self._orbits.items())
+        items = ((key, self._orbits.get(key, self._rest)) for key in boundary_orbits(self.space))
+        return [(key, c) for key, c in items if not c.is_zero]
 
     @property
     def boundary_is_zero(self) -> bool:
-        return not self._explicit and not self._orbits
+        return self._boundary_equal(DivisorClass(self.space))
 
     def psi_coefficient(self, label: int) -> Coefficient:
         return self.psi[label - 1]
@@ -346,7 +376,8 @@ class DivisorClass:
         self._require_same_space(other)
         orbits = {}
         for key in set(self._orbits) | set(other._orbits):
-            orbits[key] = self._orbits.get(key, EXACT_ZERO) + other._orbits.get(key, EXACT_ZERO)
+            orbits[key] = (self._orbits.get(key, self._rest)
+                           + other._orbits.get(key, other._rest))
         explicit = {}
         for idx in set(self._explicit) | set(other._explicit):
             explicit[idx] = self.boundary_coefficient(idx.i, idx.S) + other.boundary_coefficient(idx.i, idx.S)
@@ -357,6 +388,7 @@ class DivisorClass:
             delta_irr=self.delta_irr + other.delta_irr,
             boundary=explicit,
             boundary_sym=orbits,
+            boundary_rest=self._rest + other._rest,
         )
 
     def scale(self, c: Scalar) -> "DivisorClass":
@@ -368,6 +400,7 @@ class DivisorClass:
             delta_irr=self.delta_irr.scaled(c),
             boundary={idx: v.scaled(c) for idx, v in self._explicit.items()},
             boundary_sym={k: v.scaled(c) for k, v in self._orbits.items()},
+            boundary_rest=self._rest.scaled(c),
         )
 
     def __add__(self, other):
@@ -384,13 +417,28 @@ class DivisorClass:
             return False
         if (self.lam, self.psi, self.delta_irr) != (other.lam, other.psi, other.delta_irr):
             return False
+        return self._boundary_equal(other)
+
+    def _boundary_equal(self, other: "DivisorClass") -> bool:
+        """Whether every boundary coefficient agrees, without enumerating orbits
+        or their members: only listed orbits and explicit entries can differ
+        from the rest, and only a fully overridden orbit can hide a difference."""
         explicit = set(self._explicit) | set(other._explicit)
-        for key in set(self._orbits) | set(other._orbits):
-            if self._orbits.get(key, EXACT_ZERO) != other._orbits.get(key, EXACT_ZERO):
-                # the defaults differ, so an index that neither class overrides
-                # tells them apart; only a fully overridden orbit can still agree
-                overridden = sum(1 for idx in explicit if (idx.i, idx.s) == key)
-                if overridden < orbit_size(self.space, *key):
+        overridden = {}
+        for idx in explicit:
+            key = (idx.i, idx.s)
+            overridden[key] = overridden.get(key, 0) + 1
+        keys = set(self._orbits) | set(other._orbits)
+        if self._rest != other._rest:
+            # an orbit that neither class lists or overrides tells them apart
+            keys |= overridden.keys()
+            if len(keys) < orbit_count(self.space):
+                return False
+        for key in keys:
+            if self._orbits.get(key, self._rest) != other._orbits.get(key, other._rest):
+                # the orbit values differ, so an index that neither class
+                # overrides tells them apart; only a fully overridden orbit agrees
+                if overridden.get(key, 0) < orbit_size(self.space, *key):
                     return False
         for idx in explicit:
             if self.boundary_coefficient(idx.i, idx.S) != other.boundary_coefficient(idx.i, idx.S):
@@ -441,7 +489,9 @@ class UnmarkedClass:
 @dataclass(frozen=True)
 class TestCurve:
     """One-parameter family in delta_{i:S}: the attachment node moves on the
-    genus g-i side."""
+    genus g-i side.  Both (i, S) and, for each label j outside S, the index
+    (i, S + {j}) reached when the node meets p_j must be stable; otherwise the
+    moving side is rigid and there is no family."""
 
     space: Space
     i: int
@@ -456,6 +506,11 @@ class TestCurve:
         if not _stable_split(space.g, space.n, i, len(S)):
             raise ValueError(
                 f"unstable test-curve index (i={i}, S={sorted(S)}) on (g={space.g}, n={space.n})"
+            )
+        if len(S) < space.n and not _stable_split(space.g, space.n, i, len(S) + 1):
+            raise ValueError(
+                f"unstable test curve (i={i}, S={sorted(S)}) on (g={space.g}, n={space.n}): "
+                f"the moving side is rigid, (i, S + {{j}}) is unstable for j outside S"
             )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "i", i)

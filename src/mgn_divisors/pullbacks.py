@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 from .exact import rat
 from .picard import (
     DivisorClass,
+    EXACT_ZERO,
     Space,
     SpaceMismatchError,
     UNKNOWN,
@@ -134,16 +135,12 @@ def clutch_pullback(cls: DivisorClass, m: ClutchingMap) -> DivisorClass:
         psi[src] = cls.psi_coefficient(tgt)
     for a in m.attachments:
         psi[a.at_label] = cls.boundary_coefficient(a.tail_genus, a.tail_labels).scaled(-1)
-    if cls.boundary_is_zero:
-        sym = {}
-    else:
-        sym = {key: UNKNOWN for key in boundary_orbits(m.source)}
     return DivisorClass(
         m.source,
         lam=cls.lam,
         psi=psi,
         delta_irr=cls.delta_irr,
-        boundary_sym=sym,
+        boundary_rest=EXACT_ZERO if cls.boundary_is_zero else UNKNOWN,
     )
 
 

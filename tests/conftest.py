@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from mgn_divisors import family
+from mgn_divisors import family, picard
 
 
 @pytest.fixture()
@@ -19,5 +21,29 @@ def quad_class_builds(monkeypatch):
         for module in (family, *modules):
             monkeypatch.setattr(module, "quad_class", counting)
         return built
+
+    return install
+
+
+@pytest.fixture()
+def boundary_orbit_yields(monkeypatch):
+    """Count boundary-orbit enumeration: `boundary_orbit_yields()` rebinds
+    `boundary_orbits` to a counting wrapper in every package module that binds
+    it (`picard` included), and returns the list of (i, s) keys yielded, in
+    order."""
+    enumerate_orbits = picard.boundary_orbits
+    yielded = []
+
+    def counting(space):
+        for key in enumerate_orbits(space):
+            yielded.append(key)
+            yield key
+
+    def install():
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("mgn_divisors.")
+                    and getattr(module, "boundary_orbits", None) is enumerate_orbits):
+                monkeypatch.setattr(module, "boundary_orbits", counting)
+        return yielded
 
     return install

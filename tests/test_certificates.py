@@ -17,7 +17,8 @@ from mgn_divisors.certificates import (
     psi_sum_class,
     solve_certificate,
 )
-from mgn_divisors.picard import Coefficient, DivisorClass, Space, UNKNOWN
+from mgn_divisors.picard import (
+    Coefficient, DivisorClass, Space, UNKNOWN, boundary_orbits, serialize)
 from mgn_divisors.presets import certificate_components, certify
 
 
@@ -39,6 +40,19 @@ class TestCanonicalClass:
     def test_unmarked_rejected(self):
         with pytest.raises(ValueError):
             canonical_class(5, 0)
+
+    # g = 2 has no (1, 0) orbit: delta_{1:{}} would need label 1 in S
+    @pytest.mark.parametrize("g,n", [(2, 3), (2, 1), (3, 1), (4, 2), (5, 3), (16, 8)])
+    def test_matches_every_orbit_written_out(self, g, n):
+        """The -2 rest with the i = 1 row listed is the class with -3 on every
+        i = 1 orbit and -2 on every other orbit."""
+        space = Space(g, n)
+        written_out = DivisorClass(
+            space, lam=13, psi=1, delta_irr=-2,
+            boundary_sym={(i, s): -3 if i == 1 else -2 for i, s in boundary_orbits(space)})
+        k = canonical_class(g, n)
+        assert k == written_out
+        assert serialize(k) == serialize(written_out)
 
 
 class TestCatalog:

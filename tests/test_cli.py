@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -182,3 +183,31 @@ def test_width_env_wraps_output(runner, monkeypatch):
     monkeypatch.setenv("MGNDIV_WIDTH", "40")
     narrow = runner.invoke(main, ["class", "quad", "--t", "0"]).output
     assert all(len(line) <= 40 for line in narrow.splitlines())
+
+
+# sha256 of stdout: the boundary representation may change, a byte of output may not
+PINNED_STDOUT = {
+    "verify grr --t-max 8 --json":
+        "c0441529f334b8d1479393f5cc47c9516ea41d4923ea256df171f05b451b5a66",
+    "class quad --t 0 --json":
+        "8c9c876ad8c77cc5c653a5970ad0e472e72a949572e72cbee8bcc316736a3fde",
+    "class quad --t 3 --json":
+        "c48c7d3b27fc104c877de85d5a9488820041c1837421744f5e5c7a00448cb2f6",
+    "class canonical --g 2 --n 3 --json":
+        "e41b4093165b19de1e06315224d0fa55a60622ac02e320e29ebb910a350a3c54",
+    "class canonical --g 16 --n 8 --json":
+        "892eac884bcc229dec333053949a0e5b050c55d6f5d24995c72a64a4a3d955db",
+    "pullback --preset quad3-to-178 --json":
+        "80e2098047363cd40742d956dfc3f9d6d134770ef3859f4a0de11dc5dbd27618",
+    "certify --g 17 --n 8 --json":
+        "bbf0094297d9bc661d5dd5f8319b36abe237039bb4e986e2d7b851e8c5cb2c5e",
+    "certify --g 12 --n 10 --json":
+        "034b65716f66ea12a6a7f0078c05b881afb4d0f5f88c8be58734c53d645b4ef7",
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_STDOUT))
+def test_stdout_bytes_pinned(runner, command):
+    result = runner.invoke(main, command.split())
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == PINNED_STDOUT[command]

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mgn_divisors import checks
 from mgn_divisors.family import family_space, quad_class
 from mgn_divisors.grr import (
     FiberwiseLineBundle,
@@ -68,3 +69,14 @@ class TestPorteous:
         assert d1.lam == q.lam
         assert d1.psi == q.psi
         assert d1.delta_irr == q.delta_irr
+
+
+def test_grr_sweep_enumerates_only_the_family_rows(boundary_orbit_yields):
+    """Classes with one coefficient on almost every orbit cost O(listed
+    orbits): the whole sweep enumerates no more orbits than the i in {0, 1}
+    rows that quad_class lists, at most 2(n+1) per t."""
+    yielded = boundary_orbit_yields()
+    records = checks.check_grr(6)
+    assert checks.summarize(records)["all_pass"]
+    assert yielded  # the counter is live: quad_class enumerates its two rows
+    assert len(yielded) <= 2 * sum(family_space(t).n + 1 for t in range(7))

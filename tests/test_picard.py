@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,9 @@ from mgn_divisors.picard import (
     class_to_dict,
     deserialize,
     intersect_test_curve,
+    coeff,
     is_orbit,
+    orbit_count,
     orbit_members,
     orbit_size,
     serialize,
@@ -157,6 +160,7 @@ class TestSpaceAndIndexing:
                     continue
                 reached.add((idx.i, idx.s))
         assert orbits == reached
+        assert orbit_count(space) == len(orbits)
         for i in range(-1, space.g + 2):
             for s in range(-1, space.n + 2):
                 assert is_orbit(space, i, s) == ((i, s) in orbits)
@@ -247,6 +251,139 @@ class TestDivisorClass:
         assert a.add(b) == b.add(a)
 
 
+def coefficients():
+    v = st.integers(-2, 2)
+    return st.one_of(v.map(Coefficient.exact), v.map(Coefficient.at_least),
+                     v.map(Coefficient.at_most), st.just(UNKNOWN))
+
+
+@st.composite
+def rest_specs(draw, space):
+    """Constructor arguments of a class with a boundary rest, a few listed
+    orbits and a few explicit entries."""
+    orbits = list(boundary_orbits(space))
+    ints = st.integers(-3, 3)
+    sym, explicit = {}, {}
+    if orbits:
+        sym = draw(st.dictionaries(st.sampled_from(orbits), coefficients(), max_size=4))
+        for key in draw(st.lists(st.sampled_from(orbits), max_size=3)):
+            members = list(islice(orbit_members(space, *key), 3))
+            explicit[draw(st.sampled_from(members))] = draw(coefficients())
+    return dict(lam=draw(ints), psi=draw(ints), delta_irr=draw(ints), boundary=explicit,
+                boundary_sym=sym, boundary_rest=draw(coefficients()))
+
+
+def expanded(space, spec):
+    """The same class with the rest written out on every orbit."""
+    spec = dict(spec)
+    rest, sym = coeff(spec.pop("boundary_rest")), spec.pop("boundary_sym")
+    spec["boundary_sym"] = {key: sym.get(key, rest) for key in boundary_orbits(space)}
+    return DivisorClass(space, **spec)
+
+
+# even g (the i = g/2 tie-break), g = 2, n = 0, n = 1, and a sweep-sized space
+REST_SPACES = [Space(2, 0), Space(2, 3), Space(3, 1), Space(4, 0), Space(4, 2),
+               Space(5, 1), Space(6, 3), Space(57, 45)]
+
+
+class TestBoundaryRest:
+    """A class built with boundary_rest=c is the class with c written on every
+    orbit that boundary_sym leaves out, and arithmetic commutes with that."""
+
+    @pytest.mark.parametrize("space", REST_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rest_matches_expansion(self, space, data):
+        spec = data.draw(rest_specs(space))
+        cls, full = DivisorClass(space, **spec), expanded(space, spec)
+        assert cls == full and full == cls
+        assert serialize(cls) == serialize(full)
+        assert repr(cls) == repr(full)
+        assert cls.boundary_is_zero == full.boundary_is_zero
+        for key in boundary_orbits(space):
+            idx = next(orbit_members(space, *key))
+            assert cls.boundary_coefficient(idx.i, idx.S) == full.boundary_coefficient(idx.i, idx.S)
+        if space.n <= 6:
+            assert cls.boundary_is_zero == all(
+                cls.boundary_coefficient(idx.i, idx.S).is_zero
+                for idx in all_canonical_indices(space))
+
+    @pytest.mark.parametrize("space", REST_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_arithmetic_commutes_with_expansion(self, space, data):
+        a_spec, b_spec = data.draw(rest_specs(space)), data.draw(rest_specs(space))
+        a, b = DivisorClass(space, **a_spec), DivisorClass(space, **b_spec)
+        a_full, b_full = expanded(space, a_spec), expanded(space, b_spec)
+        assert serialize(a.add(b)) == serialize(a_full.add(b_full)) == serialize(a.add(b_full))
+        assert a.add(b) == a_full.add(b_full)
+        c = data.draw(st.sampled_from([Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(3)]))
+        assert serialize(a.scale(c)) == serialize(a_full.scale(c))
+        assert a.scale(c) == a_full.scale(c)
+        assert (a == b) == (a_full == b_full) == (b == a)
+
+    @pytest.mark.parametrize("space", REST_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_any_rest_can_carry_the_same_class(self, space, data):
+        """Listing every orbit's value makes the rest irrelevant."""
+        spec = data.draw(rest_specs(space))
+        cls = DivisorClass(space, **spec)
+        relisted = DivisorClass(
+            space, lam=spec["lam"], psi=spec["psi"], delta_irr=spec["delta_irr"],
+            boundary=spec["boundary"],
+            boundary_sym={key: cls.orbit_coefficient(*key) for key in boundary_orbits(space)},
+            boundary_rest=data.draw(coefficients()),
+        )
+        assert cls == relisted and relisted == cls
+        assert serialize(cls) == serialize(relisted)
+
+    @pytest.mark.parametrize("space", [Space(6, 3), Space(57, 45)], ids=str)
+    def test_differing_rests_covered_by_listed_orbits(self, space):
+        orbits = list(boundary_orbits(space))
+        low, high = orbits[:len(orbits) // 2], orbits[len(orbits) // 2:]
+        # both are 1 on the low orbits and 2 on the high ones
+        a = DivisorClass(space, boundary_sym={key: 1 for key in low}, boundary_rest=2)
+        b = DivisorClass(space, boundary_sym={key: 2 for key in high}, boundary_rest=1)
+        assert a == b and b == a
+        # leave one orbit unlisted by both: there the rests tell them apart
+        c = DivisorClass(space, boundary_sym={key: 2 for key in high[1:]}, boundary_rest=1)
+        assert a != c and c != a
+
+    def test_differing_rests_covered_by_explicit_entries(self):
+        # the (1, 1) orbit on (5, 3) is {1}, {2}, {3}; here only explicit entries list it
+        members = {(1, frozenset({j})): 1 for j in SPACE_53.labels}
+        others = {key: 1 for key in boundary_orbits(SPACE_53) if key != (1, 1)}
+        covered = DivisorClass(SPACE_53, boundary_sym=others, boundary=members,
+                               boundary_rest=UNKNOWN)
+        assert covered == DivisorClass(SPACE_53, boundary_rest=1)
+        del members[(1, frozenset({3}))]
+        partial = DivisorClass(SPACE_53, boundary_sym=others, boundary=members,
+                               boundary_rest=UNKNOWN)
+        assert partial != DivisorClass(SPACE_53, boundary_rest=1)
+
+    @pytest.mark.parametrize("space", [Space(2, 3), Space(6, 3), Space(57, 45)], ids=str)
+    def test_nonzero_rest_with_every_orbit_zero(self, space):
+        cls = DivisorClass(space, lam=1, boundary_sym={key: 0 for key in boundary_orbits(space)},
+                           boundary_rest=UNKNOWN)
+        assert cls.boundary_is_zero
+        assert cls == DivisorClass(space, lam=1)
+        assert serialize(cls) == serialize(DivisorClass(space, lam=1))
+        one_left = DivisorClass(space, boundary_sym={key: 0 for key in list(boundary_orbits(space))[1:]},
+                                boundary_rest=UNKNOWN)
+        assert not one_left.boundary_is_zero
+
+    def test_orbit_coefficient(self):
+        cls = DivisorClass(SPACE_53, boundary_sym={(1, 2): 7}, boundary_rest=UNKNOWN,
+                           boundary={(1, frozenset({1})): 4})
+        assert cls.orbit_coefficient(1, 2) == Coefficient.exact(7)
+        assert cls.orbit_coefficient(1, 1) == UNKNOWN  # explicit entries do not count
+        assert cls.boundary_coefficient(1, {1}) == Coefficient.exact(4)
+        assert cls.boundary_coefficient(4, {1, 3}) == UNKNOWN  # mirror of (1, {2})
+        with pytest.raises(UnstableIndexError):
+            cls.orbit_coefficient(0, 1)
+
+
 class TestPairing:
     def test_insufficient_information(self):
         cls = DivisorClass(SPACE_53, boundary_sym={(1, 2): UNKNOWN})
@@ -259,6 +396,17 @@ class TestPairing:
             Pencil(SPACE_53, 0, {1})
         with pytest.raises(ValueError, match="unstable"):
             Pencil(SPACE_53, 5, {1, 2})
+
+    def test_rigid_moving_side_rejected_when_built(self):
+        # (5, {1}) is stable, but the moving side is a rational curve with the
+        # node and p_2, p_3: rigid, and (5, {1, 2}) is unstable
+        with pytest.raises(ValueError, match="rigid"):
+            Pencil(SPACE_53, 5, {1})
+        # with a single label outside S the moving side is stable again
+        assert Pencil(Space(5, 4), 5, {1}).S == frozenset({1})
+        # S = every label: no j outside S, nothing more to check
+        assert intersect_test_curve(DivisorClass(SPACE_53, lam=1),
+                                    Pencil(SPACE_53, 0, {1, 2, 3})) == 0
 
     def test_uninvolved_bound_is_fine(self):
         cls = DivisorClass(SPACE_53, lam=3, boundary_sym={(2, 0): UNKNOWN})
