@@ -97,8 +97,7 @@ def pullback(preset, as_json):
 
 
 @main.command()
-@click.argument("suite", type=click.Choice(
-    ["balance", "recurrences", "grr", "pullbacks", "pic12", "certificates", "all"]))
+@click.argument("suite", type=click.Choice([*checks.SUITES, "all"]))
 @click.option("--t-max", default=8, show_default=True, type=click.IntRange(min=0))
 @click.option("--json", "as_json", is_flag=True)
 def verify(suite, t_max, as_json):

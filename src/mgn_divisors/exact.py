@@ -203,11 +203,6 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
 
-def poly_equal(p: Poly, q: Poly) -> bool:
-    """True iff p - q is the zero polynomial (canonical forms coincide)."""
-    return Poly._coerce(p) == Poly._coerce(q)
-
-
 @dataclass(frozen=True)
 class LinearSystem:
     """A rectangular exact linear system matrix * x = rhs."""

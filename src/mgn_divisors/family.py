@@ -8,16 +8,19 @@ have equal dimension, and the failure locus is a divisor whose class is
 
 with closed-form b for i in {0, 1} and only the bound b >= 1 for 2 <= i <= g/2.
 This module holds the closed forms, the test-curve intersection numbers behind
-them, both recurrences, and their verifiers.  All formulas accept exact
-rationals or Poly values, so every identity can be checked symbolically as
-well as on grids.
+them, both recurrences, and their verifiers.  Every formula is one expression
+that takes exact numbers (int or Fraction) or Poly values alike: integer input
+stays integer until the final multiplication by HALF, and a Poly goes through
+the same operators, so every identity is checked symbolically and on grids by
+the same code.  The only splits are gn_pair (a Space needs int entries) and
+the domain guards, which skip a Poly because it has no order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import LinearSystem, Poly, invert_matrix, rat, solve_linear
+from .exact import Poly, invert_matrix
 from .picard import (
     Coefficient,
     DivisorClass,
@@ -33,13 +36,16 @@ HALF = Fraction(1, 2)
 
 def gn_pair(t):
     """(g, n) for family parameter t; both entries are integers for t in N."""
-    g = (t * t + 5 * t + 10) / 2 if isinstance(t, Poly) else Fraction(t * t + 5 * t + 10, 2)
-    n = (t * t + 3 * t + 2) / 2 if isinstance(t, Poly) else Fraction(t * t + 3 * t + 2, 2)
-    if not isinstance(t, Poly):
-        if t < 0:
-            raise ValueError("family parameter must be >= 0")
-        g, n = int(g), int(n)
-    return g, n
+    if isinstance(t, Poly):
+        return HALF * (t * t + 5 * t + 10), HALF * (t * t + 3 * t + 2)
+    if t < 0:
+        raise ValueError("family parameter must be >= 0")
+    return (t * t + 5 * t + 10) // 2, (t * t + 3 * t + 2) // 2
+
+
+def _ordered(*xs) -> bool:
+    """True when every argument is a number: domain guards skip a Poly, which has no order."""
+    return not any(isinstance(x, Poly) for x in xs)
 
 
 def family_space(t: int) -> Space:
@@ -50,8 +56,7 @@ def family_space(t: int) -> Space:
 def verify_balance(t) -> bool:
     """dim Sym^2 of a rank-(t+4) space vs h^0 of the quadratic side."""
     g, n = gn_pair(t)
-    lhs = (t + 4) * (t + 5) / 2 if isinstance(t, Poly) else Fraction((t + 4) * (t + 5), 2)
-    return lhs == 3 * g - 3 - 2 * n
+    return HALF * ((t + 4) * (t + 5)) == 3 * g - 3 - 2 * n
 
 
 def balanced_pairs(g_max: int):
@@ -80,28 +85,23 @@ def balanced_pairs(g_max: int):
 
 def b0(s, t):
     """b_{0:s}(t) = s(st+s+t-1)/2, defined for s >= 2."""
-    if not isinstance(s, Poly) and s < 2:
+    if _ordered(s) and s < 2:
         raise ValueError(f"b0 is defined for s >= 2, got s={s}")
-    return _half(s * (s * t + s + t - 1))
+    return HALF * (s * (s * t + s + t - 1))
 
 
 def b1(s, t):
     """b_{1:0}(t) = t+4; b_{1:s}(t) = (s^2 t + s^2 - s t + s + 6)/2 for s >= 1."""
-    if not isinstance(s, Poly):
-        if s < 0:
-            raise ValueError(f"b1 is defined for s >= 0, got s={s}")
-        if s == 0:
-            return t + 4 if isinstance(t, Poly) else rat(t) + 4
-    return _half(s * s * t + s * s - s * t + s + 6)
+    if _ordered(s) and s < 0:
+        raise ValueError(f"b1 is defined for s >= 0, got s={s}")
+    if s == 0:
+        return t + 4
+    return HALF * (s * s * t + s * s - s * t + s + 6)
 
 
 def tilde_b(i, s, t):
     """(i^2(t-3) - i(2s(t-1)+t-5) + s(st+s+t-1)) / 2."""
-    return _half(i * i * (t - 3) - i * (2 * s * (t - 1) + t - 5) + s * (s * t + s + t - 1))
-
-
-def _half(x):
-    return x / 2 if isinstance(x, Poly) else rat(x) * HALF
+    return HALF * (i * i * (t - 3) - i * (2 * s * (t - 1) + t - 5) + s * (s * t + s + t - 1))
 
 
 def known_b(i, s, t):
@@ -165,7 +165,7 @@ def c1_pushforward_L2(i, s, g, n):
 
 
 def _check_lemma_range(i, s, g):
-    if isinstance(i, Poly) or isinstance(s, Poly) or isinstance(g, Poly):
+    if not _ordered(i, s, g):
         return
     if not 0 <= i <= g:
         raise ValueError(f"genus index {i} outside 0..{g}")
@@ -184,18 +184,24 @@ def d1_phi_prime(i, s, t):
     return c1_pushforward_L2(i, s, g, n) - (t + 5) * c1_pushforward_L(i, s, g, n)
 
 
-def verify_tilde_recurrence(i, s, t) -> bool:
-    """Test-curve relation pinning tilde_b:
+def _test_curve_rhs(i, s, t, b_s, b_s1):
+    """Right side of the test-curve recurrence on T_{i:S}, given the multiplicities
+    b_s of delta_{i:s} and b_s1 of delta_{i:s+1}:
 
-    T.[D1] = (2g-2i-2+n-s) tilde_b(i,s) - (n-s) tilde_b(i,s+1) + (n-s) t.
+    (2g-2i-2+n-s) b_s - (n-s) b_s1 + (n-s) t.
     """
     g, n = gn_pair(t)
-    rhs = (
-        (2 * g - 2 * i - 2 + n - s) * tilde_b(i, s, t)
-        - (n - s) * tilde_b(i, s + 1, t)
-        + (n - s) * t
-    )
-    return d1_phi_prime(i, s, t) == rhs
+    return (2 * g - 2 * i - 2 + n - s) * b_s - (n - s) * b_s1 + (n - s) * t
+
+
+def tilde_recurrence_rhs(i, s, t):
+    """(2g-2i-2+n-s) tilde_b(i,s) - (n-s) tilde_b(i,s+1) + (n-s) t."""
+    return _test_curve_rhs(i, s, t, tilde_b(i, s, t), tilde_b(i, s + 1, t))
+
+
+def verify_tilde_recurrence(i, s, t) -> bool:
+    """Test-curve relation pinning tilde_b: T.[D1] = tilde_recurrence_rhs(i, s, t)."""
+    return d1_phi_prime(i, s, t) == tilde_recurrence_rhs(i, s, t)
 
 
 def d1_theta(s, t):
@@ -203,7 +209,7 @@ def d1_theta(s, t):
 
     (s^2(t^3+6t^2+13t+8) - 2s(t^3+4t^2+4t-3) + t^3+8t^2+29t+34) / 2.
     """
-    return _half(
+    return HALF * (
         s * s * (t ** 3 + 6 * t * t + 13 * t + 8)
         - 2 * s * (t ** 3 + 4 * t * t + 4 * t - 3)
         + (t ** 3 + 8 * t * t + 29 * t + 34)
@@ -212,8 +218,7 @@ def d1_theta(s, t):
 
 def b1_recurrence_rhs(s, t):
     """t(n-s) + (2g-4+n-s) b_{1:s} - (n-s) b_{1:s+1}."""
-    g, n = gn_pair(t)
-    return t * (n - s) + (2 * g - 4 + n - s) * b1(s, t) - (n - s) * b1(s + 1, t)
+    return _test_curve_rhs(1, s, t, b1(s, t), b1(s + 1, t))
 
 
 def verify_b1_recurrence(s, t) -> bool:
@@ -222,7 +227,7 @@ def verify_b1_recurrence(s, t) -> bool:
     s = 0 is excluded: the boundary analysis behind the cubic needs a
     non-empty S, and b_{1:0} enters only through the Pic reduction below.
     """
-    if not isinstance(s, Poly) and s < 1:
+    if _ordered(s) and s < 1:
         raise ValueError("recurrence check requires s >= 1")
     return d1_theta(s, t) == b1_recurrence_rhs(s, t)
 
@@ -243,8 +248,8 @@ def b_from_pic12(t):
     The pullback relation (8-t) lambda - delta_irr + t psi_p + b11 psi_q'
     - b10 delta_0 = 0 reduces, via 12 lambda = delta_irr and
     psi = lambda + delta_0, to a 2x2 system with constant matrix; the unique
-    solution is (t+4, 4).  Accepts an integer t or a Poly for the symbolic
-    statement; the integer path exercises the exact solver.
+    solution is (t+4, 4).  The matrix does not depend on t, so its exact
+    inverse is applied to the right side whether t is a number or a Poly.
     """
     from .pullbacks import pic12_reduce
 
@@ -256,15 +261,7 @@ def b_from_pic12(t):
         [col_b10[1], col_b11[1]],
     ]
     rhs = [-const_lam, -const_del]
-    if isinstance(t, Poly):
-        inv = invert_matrix(matrix)
-        b10 = inv[0][0] * rhs[0] + inv[0][1] * rhs[1]
-        b11 = inv[1][0] * rhs[0] + inv[1][1] * rhs[1]
-        return b10, b11
-    sol = solve_linear(LinearSystem(matrix, rhs))
-    if not sol.is_unique:
-        raise ValueError(f"Pic reduction system is {sol.status}")
-    return sol.vector
+    return tuple(row[0] * rhs[0] + row[1] * rhs[1] for row in invert_matrix(matrix))
 
 
 # ---------------------------------------------------------------------------

@@ -329,10 +329,6 @@ class DivisorClass:
 
     # -- accessors ---------------------------------------------------------
 
-    @classmethod
-    def zero(cls, space: Space) -> "DivisorClass":
-        return cls(space)
-
     def orbit_coefficient(self, i: int, s: int) -> Coefficient:
         """The coefficient shared by the (i, s) orbit, before explicit entries."""
         if not is_orbit(self.space, i, s):

@@ -103,9 +103,6 @@ class ClutchingMap:
         object.__setattr__(self, "attachments", attachments)
         object.__setattr__(self, "retained", retained)
 
-    def retained_map(self) -> dict:
-        return dict(self.retained)
-
     def to_json(self) -> dict:
         return {
             "source": {"g": self.source.g, "n": self.source.n},

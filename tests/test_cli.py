@@ -203,6 +203,16 @@ PINNED_STDOUT = {
         "bbf0094297d9bc661d5dd5f8319b36abe237039bb4e986e2d7b851e8c5cb2c5e",
     "certify --g 12 --n 10 --json":
         "034b65716f66ea12a6a7f0078c05b881afb4d0f5f88c8be58734c53d645b4ef7",
+    "verify balance --json":
+        "32891e8bda83be29ec48a6f4b96f7887caa151e74cdd2a06919cb0c03b2e65ae",
+    "verify pic12 --t-max 8 --json":
+        "5537237cbdc8156ddf36cf571b99d31de4dbfa72010e6378a16f325cfbb9b743",
+    "verify recurrences --t-max 6 --json":
+        "a080883fb53c39295b7e1d9fb392cec0a5c3718941bcad914fd216cca4a0eb86",
+    "verify all --t-max 4 --json":
+        "d055ece128e6c6d09b70593e2df3273f6ecb3bc83f918a8517003c1ffce44017",
+    "table --t-max 8 --json":
+        "a90808ed1ef1264fba7a0d0e0d103a9fc949a73df01a0e45165c465e69ff96da",
 }
 
 

@@ -19,6 +19,7 @@ from mgn_divisors.family import (
     known_b,
     quad_class,
     tilde_b,
+    tilde_recurrence_rhs,
     tilde_vs_known_b,
     verify_b1_recurrence,
     verify_balance,
@@ -182,3 +183,62 @@ class TestPic12Reduction:
     @given(st.integers(0, 50))
     def test_numeric_matches_symbolic(self, t):
         assert b_from_pic12(t) == (Fraction(t + 4), Fraction(4))
+
+
+I, S, T = Poly.var("i"), Poly.var("s"), Poly.var("t")
+
+
+def _agree(numeric, symbolic, point):
+    """A number from int input equals the Poly result evaluated at that point."""
+    assert type(numeric) in (int, Fraction), f"{numeric!r} is not an int or Fraction"
+    assert numeric == symbolic.eval(point)
+
+
+@st.composite
+def family_cells(draw, s_min=0, with_i=False):
+    """(t, s, i) with t <= 30, s_min <= s <= n(t) and 0 <= i < s (i = 0 if unused)."""
+    t = draw(st.integers(0, 30))
+    _, n = gn_pair(t)
+    s = draw(st.integers(s_min, max(s_min, n)))
+    i = draw(st.integers(0, s - 1)) if with_i else 0
+    return t, s, i
+
+
+class TestOneCodePath:
+    """Numeric and symbolic input run the same expressions, so they agree pointwise."""
+
+    @given(st.integers(0, 30))
+    def test_gn_pair_and_balance(self, t):
+        g, n = gn_pair(t)
+        assert type(g) is int and type(n) is int
+        gs, ns = gn_pair(T)
+        assert (g, n) == (gs.eval({"t": t}), ns.eval({"t": t}))
+        assert verify_balance(t) is True and verify_balance(T) is True
+
+    @given(family_cells(s_min=2))
+    def test_b0(self, cell):
+        t, s, _ = cell
+        _agree(b0(s, t), b0(S, T), {"s": s, "t": t})
+
+    @given(family_cells())
+    def test_b1_and_its_recurrence_rhs(self, cell):
+        t, s, _ = cell
+        _agree(b1(s, t), b1(s, T), {"t": t})
+        _agree(b1_recurrence_rhs(s, t), b1_recurrence_rhs(s, T), {"t": t})
+        if s >= 1:  # b_{1:0} = t+4 is a special value, not the s = 0 point of the closed form
+            _agree(b1(s, t), b1(S, T), {"s": s, "t": t})
+            _agree(b1_recurrence_rhs(s, t), b1_recurrence_rhs(S, T), {"s": s, "t": t})
+            _agree(d1_theta(s, t), d1_theta(S, T), {"s": s, "t": t})
+
+    @given(family_cells(s_min=1, with_i=True))
+    def test_tilde_b_and_the_test_curve_pairing(self, cell):
+        t, s, i = cell
+        point = {"i": i, "s": s, "t": t}
+        _agree(tilde_b(i, s, t), tilde_b(I, S, T), point)
+        _agree(d1_phi_prime(i, s, t), d1_phi_prime(I, S, T), point)
+        _agree(tilde_recurrence_rhs(i, s, t), tilde_recurrence_rhs(I, S, T), point)
+
+    @given(st.integers(0, 30))
+    def test_b_from_pic12(self, t):
+        for numeric, symbolic in zip(b_from_pic12(t), b_from_pic12(T)):
+            _agree(numeric, symbolic, {"t": t})
