@@ -41,10 +41,10 @@ from .presets import (
 
 
 def _fmt(x) -> str:
+    if isinstance(x, (int, Fraction)):
+        return rat_str(x)
     if isinstance(x, Poly):
         return repr(x)
-    if isinstance(x, Fraction) or isinstance(x, int):
-        return rat_str(x)
     return str(x)
 
 

@@ -28,7 +28,20 @@ def rat(x) -> Fraction:
 
 def rat_str(x: Scalar) -> str:
     """Canonical wire form: "p/q", or just "p" when the denominator is 1."""
+    if type(x) is int:  # not bool, which prints as "1"/"0" via rat
+        return str(x)
     return str(rat(x))
+
+
+HALF = Fraction(1, 2)
+
+
+def half(x):
+    """x / 2, exactly: an even int stays an int, anything else is HALF * x
+    (a Fraction, or a Poly through Poly.__rmul__)."""
+    if type(x) is int and not x & 1:
+        return x // 2
+    return HALF * x
 
 
 def parse_rat(s: str) -> Fraction:

@@ -9,18 +9,20 @@ have equal dimension, and the failure locus is a divisor whose class is
 with closed-form b for i in {0, 1} and only the bound b >= 1 for 2 <= i <= g/2.
 This module holds the closed forms, the test-curve intersection numbers behind
 them, both recurrences, and their verifiers.  Every formula is one expression
-that takes exact numbers (int or Fraction) or Poly values alike: integer input
-stays integer until the final multiplication by HALF, and a Poly goes through
-the same operators, so every identity is checked symbolically and on grids by
-the same code.  The only splits are gn_pair (a Space needs int entries) and
-the domain guards, which skip a Poly because it has no order.
+that takes exact numbers (int or Fraction) or Poly values alike, so every
+identity is checked symbolically and on grids by the same code.  Halving is
+exact.half: integer input stays integer wherever the value is integral (b0,
+b1, tilde_b, d1_theta, g, n and the test-curve right sides all are), so the
+grid sweeps run on Python ints from end to end, while a Fraction or a Poly
+goes through the same operators.  The only split is the domain guards, which
+skip a Poly because it has no order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Poly, invert_matrix
+from .exact import Poly, half, invert_matrix
 from .picard import (
     Coefficient,
     DivisorClass,
@@ -31,21 +33,16 @@ from .picard import (
 )
 
 
-HALF = Fraction(1, 2)
+def _ordered(*xs) -> bool:
+    """True when every argument is a number: domain guards skip a Poly, which has no order."""
+    return Poly not in map(type, xs)
 
 
 def gn_pair(t):
-    """(g, n) for family parameter t; both entries are integers for t in N."""
-    if isinstance(t, Poly):
-        return HALF * (t * t + 5 * t + 10), HALF * (t * t + 3 * t + 2)
-    if t < 0:
+    """(g, n) for family parameter t; both entries are ints for t in N."""
+    if _ordered(t) and t < 0:
         raise ValueError("family parameter must be >= 0")
-    return (t * t + 5 * t + 10) // 2, (t * t + 3 * t + 2) // 2
-
-
-def _ordered(*xs) -> bool:
-    """True when every argument is a number: domain guards skip a Poly, which has no order."""
-    return not any(isinstance(x, Poly) for x in xs)
+    return half(t * t + 5 * t + 10), half(t * t + 3 * t + 2)
 
 
 def family_space(t: int) -> Space:
@@ -56,7 +53,7 @@ def family_space(t: int) -> Space:
 def verify_balance(t) -> bool:
     """dim Sym^2 of a rank-(t+4) space vs h^0 of the quadratic side."""
     g, n = gn_pair(t)
-    return HALF * ((t + 4) * (t + 5)) == 3 * g - 3 - 2 * n
+    return half((t + 4) * (t + 5)) == 3 * g - 3 - 2 * n
 
 
 def balanced_pairs(g_max: int):
@@ -87,7 +84,7 @@ def b0(s, t):
     """b_{0:s}(t) = s(st+s+t-1)/2, defined for s >= 2."""
     if _ordered(s) and s < 2:
         raise ValueError(f"b0 is defined for s >= 2, got s={s}")
-    return HALF * (s * (s * t + s + t - 1))
+    return half(s * (s * t + s + t - 1))
 
 
 def b1(s, t):
@@ -96,12 +93,12 @@ def b1(s, t):
         raise ValueError(f"b1 is defined for s >= 0, got s={s}")
     if s == 0:
         return t + 4
-    return HALF * (s * s * t + s * s - s * t + s + 6)
+    return half(s * s * t + s * s - s * t + s + 6)
 
 
 def tilde_b(i, s, t):
     """(i^2(t-3) - i(2s(t-1)+t-5) + s(st+s+t-1)) / 2."""
-    return HALF * (i * i * (t - 3) - i * (2 * s * (t - 1) + t - 5) + s * (s * t + s + t - 1))
+    return half(i * i * (t - 3) - i * (2 * s * (t - 1) + t - 5) + s * (s * t + s + t - 1))
 
 
 def known_b(i, s, t):
@@ -209,7 +206,7 @@ def d1_theta(s, t):
 
     (s^2(t^3+6t^2+13t+8) - 2s(t^3+4t^2+4t-3) + t^3+8t^2+29t+34) / 2.
     """
-    return HALF * (
+    return half(
         s * s * (t ** 3 + 6 * t * t + 13 * t + 8)
         - 2 * s * (t ** 3 + 4 * t * t + 4 * t - 3)
         + (t ** 3 + 8 * t * t + 29 * t + 34)

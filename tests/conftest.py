@@ -25,6 +25,16 @@ def quad_class_builds(monkeypatch):
     return install
 
 
+def _rebind_everywhere(monkeypatch, name, wrapper):
+    """Rebind `name` to `wrapper` in every package module that binds the
+    `picard` function of that name (`picard` included)."""
+    original = getattr(picard, name)
+    for module_name, module in list(sys.modules.items()):
+        if (module_name.startswith("mgn_divisors.")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, wrapper)
+
+
 @pytest.fixture()
 def boundary_orbit_yields(monkeypatch):
     """Count boundary-orbit enumeration: `boundary_orbit_yields()` rebinds
@@ -40,10 +50,27 @@ def boundary_orbit_yields(monkeypatch):
             yield key
 
     def install():
-        for name, module in list(sys.modules.items()):
-            if (name.startswith("mgn_divisors.")
-                    and getattr(module, "boundary_orbits", None) is enumerate_orbits):
-                monkeypatch.setattr(module, "boundary_orbits", counting)
+        _rebind_everywhere(monkeypatch, "boundary_orbits", counting)
         return yielded
+
+    return install
+
+
+@pytest.fixture()
+def canonical_index_calls(monkeypatch):
+    """Count canonicalizations: `canonical_index_calls()` rebinds
+    `canonical_index` to a counting wrapper in every package module that binds
+    it (`picard` included), and returns the list of (i, S) arguments, in call
+    order."""
+    canonicalize = picard.canonical_index
+    calls = []
+
+    def counting(space, i, S):
+        calls.append((i, frozenset(S)))
+        return canonicalize(space, i, S)
+
+    def install():
+        _rebind_everywhere(monkeypatch, "canonical_index", counting)
+        return calls
 
     return install

@@ -213,6 +213,10 @@ PINNED_STDOUT = {
         "d055ece128e6c6d09b70593e2df3273f6ecb3bc83f918a8517003c1ffce44017",
     "table --t-max 8 --json":
         "a90808ed1ef1264fba7a0d0e0d103a9fc949a73df01a0e45165c465e69ff96da",
+    "verify recurrences --t-max 11 --json":
+        "fca2514caf1d1817036f6ab4fc1a824b660fefae29ef27b5df9fb5b57e091068",
+    "verify grr --t-max 16 --json":
+        "d517c1b296312d6460cb828cffb5a005fc4db4c723dc342db692237c70e58983",
 }
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from mgn_divisors.exact import (
     LinearSystem,
     Poly,
+    half,
     invert_matrix,
     parse_rat,
     rat,
@@ -42,6 +43,32 @@ class TestRat:
     @given(rationals)
     def test_round_trip(self, q):
         assert parse_rat(rat_str(q)) == q
+
+    @given(st.integers(-10**30, 10**30))
+    def test_int_prints_like_its_fraction(self, k):
+        assert rat_str(k) == str(k) == rat_str(Fraction(k))
+
+    def test_bool_and_float(self):
+        # verify records print booleans as 1/0
+        assert (rat_str(True), rat_str(False)) == ("1", "0")
+        with pytest.raises(TypeError):
+            rat_str(1.0)
+
+
+class TestHalf:
+    @given(st.integers(-10**30, 10**30))
+    def test_int(self, k):
+        h = half(k)
+        assert h == Fraction(k, 2)
+        assert type(h) is (int if k % 2 == 0 else Fraction)
+
+    @given(rationals)
+    def test_fraction(self, q):
+        assert half(q) == q / 2 and type(half(q)) is Fraction
+
+    def test_poly(self):
+        t = Poly.var("t")
+        assert half(t * t + t) == Poly(("t",), {(2,): Fraction(1, 2), (1,): Fraction(1, 2)})
 
 
 class TestPoly:

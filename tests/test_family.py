@@ -168,6 +168,16 @@ class TestRecurrences:
         assert built == [0, 1, 2, 3]
         assert checks.summarize(records)["all_pass"]
 
+    def test_recurrence_sweep_pairs_without_canonicalizing(self, canonical_index_calls):
+        # the pairing reads the boundary per orbit: the member-by-member sum made
+        # n - s + 1 canonical_index calls per pairing (840 here)
+        calls = canonical_index_calls()
+        records = checks.check_recurrences(6)
+        pairings = sum(r["op"] == "b1_recurrence_pairing" for r in records)
+        assert pairings == sum(gn_pair(t)[1] for t in range(7)) == 84
+        assert len(calls) <= pairings
+        assert checks.summarize(records)["all_pass"]
+
     def test_b1_recurrence_domain(self):
         with pytest.raises(ValueError):
             verify_b1_recurrence(0, 1)
@@ -237,6 +247,15 @@ class TestOneCodePath:
         _agree(tilde_b(i, s, t), tilde_b(I, S, T), point)
         _agree(d1_phi_prime(i, s, t), d1_phi_prime(I, S, T), point)
         _agree(tilde_recurrence_rhs(i, s, t), tilde_recurrence_rhs(I, S, T), point)
+
+    @given(family_cells(s_min=2, with_i=True))
+    def test_integer_input_stays_int(self, cell):
+        # every one of these is integral at integer points, so halving keeps an int
+        t, s, i = cell
+        values = [b0(s, t), b1(s, t), b1(0, t), tilde_b(i, s, t), d1_theta(s, t),
+                  d1_phi_prime(i, s, t), b1_recurrence_rhs(s, t),
+                  tilde_recurrence_rhs(i, s, t)]
+        assert all(type(v) is int for v in values), values
 
     @given(st.integers(0, 30))
     def test_b_from_pic12(self, t):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -429,6 +429,108 @@ class TestPairing:
         combo = a.scale(x).add(b.scale(y))
         assert intersect_test_curve(combo, curve) == (
             x * intersect_test_curve(a, curve) + y * intersect_test_curve(b, curve))
+
+
+def member_by_member(cls, curve):
+    """T_{i:S} . cls summed one boundary divisor at a time: psi_j and
+    delta_{i:S+{j}} for each j outside S, then -(2(g-i)-2+n-s) delta_{i:S}."""
+    g, n = curve.space.g, curve.space.n
+    i, S = curve.i, curve.S
+
+    def exact(c):
+        if not c.is_exact:
+            raise InsufficientInformationError(str(c))
+        return c.value
+
+    total = 0
+    for j in curve.space.labels:
+        if j not in S:
+            total += exact(cls.psi_coefficient(j))
+            total += exact(cls.boundary_coefficient(i, S | {j}))
+    mult = -(2 * (g - i) - 2 + n - len(S))
+    if mult:
+        total += mult * exact(cls.boundary_coefficient(i, S))
+    return total
+
+
+def outcome(pair, cls, curve):
+    """The pairing's value, or the type of the error it raises."""
+    try:
+        return pair(cls, curve)
+    except (InsufficientInformationError, UnstableIndexError) as e:
+        return type(e)
+
+
+def every_test_curve(space):
+    for i in range(space.g + 1):
+        for s in range(space.n + 1):
+            for S in combinations(space.labels, s):
+                try:
+                    yield Pencil(space, i, S)
+                except ValueError:
+                    pass
+
+
+@st.composite
+def pairing_classes(draw, space):
+    """Classes with a boundary rest, orbit entries and explicit entries on any
+    index.  Coefficients are mostly exact, so that most pairings get as far as
+    the boundary, and bounds or Unknown show up everywhere."""
+    ints = st.integers(-3, 3)
+    mostly_exact = st.one_of(ints.map(Coefficient.exact), ints.map(Coefficient.exact),
+                             ints.map(Coefficient.exact), coefficients())
+    orbits, indices = list(boundary_orbits(space)), list(all_canonical_indices(space))
+    return DivisorClass(
+        space,
+        psi=draw(st.lists(mostly_exact, min_size=space.n, max_size=space.n)),
+        boundary_rest=draw(mostly_exact),
+        boundary_sym=draw(st.dictionaries(st.sampled_from(orbits), mostly_exact,
+                                          max_size=len(orbits))) if orbits else {},
+        boundary=draw(st.dictionaries(st.sampled_from(indices), mostly_exact,
+                                      max_size=8)) if indices else {},
+    )
+
+
+# even g for the i = g/2 split (with n = 2, s = 0 its two halves are one orbit),
+# n = 0, and an odd genus
+PAIRING_SPACES = [Space(2, 3), Space(4, 0), Space(4, 2), Space(4, 3), Space(5, 3),
+                  Space(6, 4)]
+
+
+class TestPairingPerOrbit:
+    """intersect_test_curve reads the boundary per orbit; it must agree with the
+    member-by-member sum, value for value and error for error."""
+
+    def test_curves_cover_every_case(self):
+        curves = [c for space in PAIRING_SPACES for c in every_test_curve(space)]
+        half_genus = [c for c in curves if 2 * c.i == c.space.g]
+        assert any(1 in c.S for c in half_genus)
+        assert any(1 not in c.S and c.space.n for c in half_genus)
+        assert any(2 * c.i > c.space.g for c in curves)
+        assert any(c.i == 0 for c in curves)
+        assert any(len(c.S) == c.space.n - 1 for c in curves)
+        assert any(len(c.S) == c.space.n for c in curves)
+
+    @pytest.mark.parametrize("space", PAIRING_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_member_by_member_sum(self, space, data):
+        cls = data.draw(pairing_classes(space))
+        for curve in every_test_curve(space):
+            assert (outcome(intersect_test_curve, cls, curve)
+                    == outcome(member_by_member, cls, curve)), curve
+
+    def test_half_genus_mirror_members_share_an_override(self):
+        # on (4, 2), T_{2:{}} meets delta_{2:{1}} and delta_{2:{2}}: one divisor, counted twice
+        space = Space(4, 2)
+        cls = DivisorClass(space, boundary={(2, frozenset({1})): 5},
+                           boundary_rest=Coefficient.at_most(-1))
+        curve = Pencil(space, 2, set())
+        with pytest.raises(InsufficientInformationError):  # -(2*2-2+2) delta_{2:{}}
+            intersect_test_curve(cls, curve)
+        exact_rest = DivisorClass(space, boundary={(2, frozenset({1})): 5}, boundary_rest=3)
+        assert intersect_test_curve(exact_rest, curve) == 5 + 5 - 4 * 3
+        assert member_by_member(exact_rest, curve) == 5 + 5 - 4 * 3
 
 
 class TestSerialization:
