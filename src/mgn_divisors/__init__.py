@@ -30,7 +30,6 @@ from .picard import (
     Space,
     SpaceMismatchError,
     TestCurve,
-    UnmarkedClass,
     UnstableIndexError,
     canonical_index,
     class_from_dict,
@@ -67,7 +66,6 @@ __all__ = [
     "SpaceMismatchError",
     "TailAttachment",
     "TestCurve",
-    "UnmarkedClass",
     "UnstableIndexError",
     "b0",
     "b1",

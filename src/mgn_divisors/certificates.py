@@ -25,13 +25,11 @@ from .picard import (
     PicardError,
     Space,
     SpaceMismatchError,
-    UnmarkedClass,
+    UNKNOWN,
     boundary_orbits,
     class_from_dict,
     class_to_dict,
     is_orbit,
-    unmarked_from_dict,
-    unmarked_to_dict,
 )
 
 
@@ -78,37 +76,26 @@ def psi_sum_class(space: Space) -> DivisorClass:
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    cls: object  # DivisorClass | UnmarkedClass
+    cls: DivisorClass  # a class on the unmarked space M_g has n = 0
     note: str = ""
-
-    @property
-    def is_marked(self) -> bool:
-        return isinstance(self.cls, DivisorClass)
 
 
 def _builtin_catalog() -> dict:
-    unknown_tail = Coefficient("unknown", None)
-
-    def unmarked(g, lam, delta0):
-        delta = {0: Coefficient.exact(delta0)}
-        for i in range(1, g // 2 + 1):
-            delta[i] = unknown_tail
-        return UnmarkedClass(g, lam=lam, delta=delta)
-
     entries = [
         CatalogEntry(
             "BN5_3",
-            UnmarkedClass(5, lam=8, delta={0: -1, 1: -4, 2: -6}),
+            DivisorClass(Space(5, 0), lam=8, delta_irr=-1,
+                         boundary_sym={(1, 0): -4, (2, 0): -6}),
             "genus-5 trigonal (quadric) divisor; all coefficients classical",
         ),
         CatalogEntry(
             "Z16",
-            unmarked(16, 407, -61),
+            DivisorClass(Space(16, 0), lam=407, delta_irr=-61, boundary_rest=UNKNOWN),
             "genus-16 quadric-failure divisor for a degree-21 series; boundary tail unpublished",
         ),
         CatalogEntry(
             "D12",
-            unmarked(12, 13245, -1926),
+            DivisorClass(Space(12, 0), lam=13245, delta_irr=-1926, boundary_rest=UNKNOWN),
             "genus-12 quadric-failure divisor for a degree-14 series; boundary tail unpublished",
         ),
         CatalogEntry(
@@ -117,7 +104,7 @@ def _builtin_catalog() -> dict:
                 Space(17, 8),
                 lam=20,
                 delta_irr=-3,
-                boundary_rest=unknown_tail,
+                boundary_rest=UNKNOWN,
             ),
             "Brill-Noether divisor pulled back to the 8-pointed genus-17 space",
         ),
@@ -127,7 +114,7 @@ def _builtin_catalog() -> dict:
                 Space(12, 10),
                 psi=9,
                 delta_irr=-1,
-                boundary_rest=unknown_tail,
+                boundary_rest=UNKNOWN,
             ),
             "degree-11 pencils with the 10 points in a fiber; boundary tail unpublished",
         ),
@@ -152,9 +139,11 @@ def catalog_names(catalog: dict | None = None):
 def catalog_load(path) -> dict:
     """Built-in catalog merged with (and overridden by) a JSON file.
 
-    File schema: {"entries": [{"name": ..., "kind": "marked"|"unmarked",
-    "class": <class document>, "note": ...}, ...]}.  Any defect of the file,
-    from text that is not JSON to an invalid class, raises MalformedClassError.
+    File schema: {"entries": [{"name": ..., "class": <class document>,
+    "note": ...}, ...]}; a class on the unmarked space M_g is a class document
+    with n = 0.  Any other key of an entry is ignored.  Any defect of the
+    file, from text that is not JSON to an invalid class, raises
+    MalformedClassError.
     """
     cat = dict(_CATALOG)
     try:
@@ -162,14 +151,8 @@ def catalog_load(path) -> dict:
             doc = json.load(fh)
         for entry in doc["entries"]:
             name = entry["name"]
-            kind = entry["kind"]
-            if kind == "marked":
-                cls = class_from_dict(entry["class"])
-            elif kind == "unmarked":
-                cls = unmarked_from_dict(entry["class"])
-            else:
-                raise MalformedClassError(f"unknown catalog kind {kind!r}")
-            cat[name] = CatalogEntry(name, cls, entry.get("note", ""))
+            cat[name] = CatalogEntry(name, class_from_dict(entry["class"]),
+                                     entry.get("note", ""))
     except (KeyError, TypeError, ValueError, PicardError) as e:
         raise MalformedClassError(f"malformed catalog file: {e}") from e
     return cat
@@ -178,12 +161,7 @@ def catalog_load(path) -> dict:
 def catalog_dump(catalog: dict) -> dict:
     return {
         "entries": [
-            {
-                "name": e.name,
-                "kind": "marked" if e.is_marked else "unmarked",
-                "class": class_to_dict(e.cls) if e.is_marked else unmarked_to_dict(e.cls),
-                "note": e.note,
-            }
+            {"name": e.name, "class": class_to_dict(e.cls), "note": e.note}
             for _, e in sorted(catalog.items())
         ]
     }

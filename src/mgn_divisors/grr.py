@@ -26,9 +26,6 @@ class FiberwiseLineBundle:
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "twists", tuple(sorted(twists.items())))
 
-    def twist_map(self) -> dict:
-        return dict(self.twists)
-
 
 def uniform_bundle(space: Space, power: int, twist: int) -> FiberwiseLineBundle:
     """The same twist at every marked point."""
@@ -41,8 +38,7 @@ def total_boundary(space: Space, scalar=1) -> DivisorClass:
     return DivisorClass(space, delta_irr=c, boundary_rest=c)
 
 
-def c1_pushforward(space: Space, bundle: FiberwiseLineBundle,
-                   r1_correction: DivisorClass | None = None) -> DivisorClass:
+def c1_pushforward(space: Space, bundle: FiberwiseLineBundle) -> DivisorClass:
     """c1 of the pushforward of the bundle along the forgetful map.
 
     Grothendieck-Riemann-Roch in degree 1:
@@ -52,11 +48,11 @@ def c1_pushforward(space: Space, bundle: FiberwiseLineBundle,
     with c1(omega) = psi_{n+1} - sum Delta_j and the rule table
     push(psi^2) = kappa_1 = 12 lambda - delta + sum psi_j,
     push(psi Delta_j) = 0, push(Delta_j Delta_k) = 0, push(Delta_j^2) = -psi_j.
-    The R1 term is caller input (its identification is geometric, not
-    computable here); omit it for R1 = 0 or a trivial sheaf.
+    The R1 term is taken to be zero: its identification is geometric, not
+    computable here, and no bundle used in this package needs it.
     """
     a = bundle.power
-    twists = bundle.twist_map()
+    twists = dict(bundle.twists)
     if not set(twists) <= set(space.labels):
         raise ValueError("twist labels outside 1..n")
     # upstairs: c1(L) = a psi_{n+1} + sum d_j Delta_j with d_j = m_j - a
@@ -64,16 +60,13 @@ def c1_pushforward(space: Space, bundle: FiberwiseLineBundle,
     # (c1(L)^2 - c1(L) c1(omega)) has psi^2 coefficient a^2 - a and
     # Delta_j^2 coefficient d_j^2 + d_j; cross terms push forward to zero.
     kappa_weight = Fraction(a * a - a, 2)
-    out = DivisorClass(
+    return DivisorClass(
         space,
         lam=1 + 12 * kappa_weight,
         psi={j: kappa_weight - Fraction(d[j] * d[j] + d[j], 2) for j in space.labels},
         delta_irr=-kappa_weight,
         boundary_rest=-kappa_weight,
     )
-    if r1_correction is not None:
-        out = out.add(r1_correction)
-    return out
 
 
 def porteous_equal_rank(c1_e: DivisorClass, rank_e: int,

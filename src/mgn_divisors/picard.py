@@ -6,6 +6,10 @@ Coefficients are tri-state-plus-one: Exact, AtLeast (lower bound), AtMost
 (upper bound), Unknown; the bound variants exist because some sources pin a
 coefficient only up to a sign-aware inequality.
 
+There is one class type for every n >= 0.  A class on the unmarked space is a
+DivisorClass on Space(g, 0): lambda, delta_irr (the delta_0 of the
+literature) and delta_i as the (i, 0) orbit for 1 <= i <= g/2.
+
 Boundary data is stored in three layers, each overriding the one before: a
 rest coefficient shared by every boundary divisor, per-orbit entries keyed by
 canonical (i, |S|), and explicit per-index entries.  The symmetric layers are
@@ -192,9 +196,10 @@ def _stable_split(g: int, n: int, i: int, s: int) -> bool:
 def canonical_index(space: Space, i: int, S) -> BoundaryIndex:
     """Canonical representative of (i, S) under (i, S) ~ (g-i, S complement).
 
-    Canonical means i < g/2, or i = g/2 with 1 in S (the tie-break needs a
-    marked point; there is no standard delta_{g/2:S} normalization, this is
-    the convention used throughout this package).  Idempotent.
+    Canonical means i < g/2, or i = g/2 with 1 in S (there is no standard
+    delta_{g/2:S} normalization, this is the convention used throughout this
+    package).  On an unmarked space delta_{g/2:{}} is its own mirror and is
+    its own representative.  Idempotent.
     """
     g, n = space.g, space.n
     S = frozenset(S)
@@ -208,23 +213,25 @@ def canonical_index(space: Space, i: int, S) -> BoundaryIndex:
         )
     if 2 * i > g:
         return BoundaryIndex(g - i, frozenset(space.labels) - S)
-    if 2 * i == g:
-        if n == 0:
-            raise UnstableIndexError(
-                "delta_{g/2} on an unmarked space has no canonical marked representative"
-            )
-        if 1 not in S:
-            return BoundaryIndex(i, frozenset(space.labels) - S)
+    if 2 * i == g and 1 not in S:
+        return BoundaryIndex(i, frozenset(space.labels) - S)
     return BoundaryIndex(i, S)
+
+
+def _split_by_label_1(space: Space, i: int) -> bool:
+    """Whether the canonical members of row i are the sets containing label 1:
+    i = g/2 on a marked space.  On an unmarked space delta_{g/2:{}} is its
+    own mirror."""
+    return 2 * i == space.g and space.n > 0
 
 
 def is_orbit(space: Space, i: int, s: int) -> bool:
     """Whether (i, s) keys a canonical boundary orbit: 0 <= i <= g/2 and
-    0 <= s <= n with a stable split, and s >= 1 when i = g/2 (the canonical
-    representative there contains label 1)."""
+    0 <= s <= n with a stable split, and s >= 1 when i = g/2 and n >= 1 (the
+    canonical representative there contains label 1)."""
     g, n = space.g, space.n
     return (0 <= 2 * i <= g and 0 <= s <= n and _stable_split(g, n, i, s)
-            and not (2 * i == g and s == 0))
+            and not (_split_by_label_1(space, i) and s == 0))
 
 
 def boundary_orbits(space: Space):
@@ -239,22 +246,22 @@ def orbit_count(space: Space) -> int:
     """Number of canonical boundary orbits, without enumerating them.
 
     For 0 <= i <= g/2 the genus-(g-i) side has genus >= 1, so (i, s) is an
-    orbit iff s >= 2 when i = 0, s >= 1 when i = g/2, and any 0 <= s <= n
-    otherwise (see is_orbit)."""
-    g, n = space.g, space.n
-    return sum(max(0, n + 1 - (2 if i == 0 else 1 if 2 * i == g else 0))
-               for i in range(g // 2 + 1))
+    orbit iff s >= 2 when i = 0, s >= 1 when i = g/2 and n >= 1, and any
+    0 <= s <= n otherwise (see is_orbit)."""
+    n = space.n
+    return sum(max(0, n + 1 - (2 if i == 0 else 1 if _split_by_label_1(space, i) else 0))
+               for i in range(space.g // 2 + 1))
 
 
 def orbit_size(space: Space, i: int, s: int) -> int:
-    if 2 * i == space.g:
+    if _split_by_label_1(space, i):
         return comb(space.n - 1, s - 1)
     return comb(space.n, s)
 
 
 def orbit_members(space: Space, i: int, s: int):
     labels = list(space.labels)
-    if 2 * i == space.g:
+    if _split_by_label_1(space, i):
         for rest in combinations(labels[1:], s - 1):
             yield BoundaryIndex(i, frozenset((1,) + rest))
     else:
@@ -462,27 +469,6 @@ class DivisorClass:
 
 
 @dataclass(frozen=True)
-class UnmarkedClass:
-    """Class on the unmarked space: lambda plus delta_0..delta_{g//2}."""
-
-    g: int
-    lam: Coefficient
-    delta: tuple  # index i -> Coefficient, i = 0..g//2
-
-    def __init__(self, g: int, lam=0, delta=None):
-        if g < 2:
-            raise ValueError("unmarked classes need g >= 2")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "lam", coeff(lam))
-        d = dict(delta or {})
-        if any(not 0 <= int(i) <= g // 2 for i in d):
-            raise ValueError("delta index outside 0..g//2")
-        object.__setattr__(
-            self, "delta", tuple(coeff(d.get(i, 0)) for i in range(g // 2 + 1))
-        )
-
-
-@dataclass(frozen=True)
 class TestCurve:
     """One-parameter family in delta_{i:S}: the attachment node moves on the
     genus g-i side.  Both (i, S) and, for each label j outside S, the index
@@ -526,7 +512,8 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Fraction:
     is in S+{j}.  Each orbit adds (members not overridden) x (its value), and
     a walk over the explicit entries adds the value of each member that an
     entry overrides (an entry is the canonical form of (i, T) exactly when it
-    equals (i, T) or the mirror (g-i, T complement)).  delta_{i:S} is read the
+    equals (i, T) or the mirror (g-i, T complement); on an unmarked space at
+    i = g/2 the two are one index, counted once).  delta_{i:S} is read the
     same way, as a term with one member.  An orbit value is read only when
     some member of it is not overridden, so this requires Exact of exactly the
     coefficients that the member-by-member sum reads, and the boundary costs
@@ -566,6 +553,7 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Fraction:
             moving[key] = moving.get(key, 0) + count
     mult = -(2 * (g - i) - 2 + n - s)
     terms = [(1, s + 1, moving), (mult, s, {orbit(s, 1 in S): 1})]
+    mirror_is_other = n > 0 or 2 * i != g
 
     for weight, size, members in terms:
         if not weight:
@@ -574,7 +562,8 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Fraction:
         overridden = dict.fromkeys(members, 0)
         for idx, c in cls._explicit.items():
             hits = ((idx.i == i and len(idx.S) == size and S <= idx.S)
-                    + (idx.i == g - i and len(idx.S) == n - size and S.isdisjoint(idx.S)))
+                    + (mirror_is_other and idx.i == g - i and len(idx.S) == n - size
+                       and S.isdisjoint(idx.S)))
             if hits:
                 part += hits * exact_value(c, repr(idx))
                 overridden[(idx.i, idx.s)] += hits
@@ -650,22 +639,3 @@ def deserialize(text) -> DivisorClass:
     if not isinstance(doc, dict):
         raise MalformedClassError("class document must be a JSON object")
     return class_from_dict(doc)
-
-
-def unmarked_to_dict(cls: UnmarkedClass) -> dict:
-    return {
-        "g": cls.g,
-        "lambda": cls.lam.to_json(),
-        "delta": {str(i): c.to_json() for i, c in enumerate(cls.delta)},
-    }
-
-
-def unmarked_from_dict(doc: dict) -> UnmarkedClass:
-    try:
-        return UnmarkedClass(
-            int(doc["g"]),
-            lam=Coefficient.from_json(doc["lambda"]),
-            delta={int(i): Coefficient.from_json(c) for i, c in doc.get("delta", {}).items()},
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise MalformedClassError(f"malformed unmarked-class document: {e}") from e

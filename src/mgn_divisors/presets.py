@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .certificates import catalog_get, solve_certificate
 from .family import quad_class
-from .picard import DivisorClass, MalformedClassError, Space, UnmarkedClass
+from .picard import DivisorClass, MalformedClassError, Space
 from .pullbacks import (
     ClutchingMap,
     TailAttachment,
@@ -72,18 +72,12 @@ def averaged_class_17_8() -> DivisorClass:
     return average_over_pairs(fam, D_17_8_NORMALIZATION)
 
 
-def _catalog_class(name: str, catalog, want):
-    """The class of catalog entry `name`, checked against what its recipe
-    needs: `want` is a Space for a marked class, or a genus for an unmarked one."""
+def _catalog_class(name: str, catalog, space: Space) -> DivisorClass:
+    """The class of catalog entry `name`, checked to live on `space`."""
     cls = catalog_get(name, catalog).cls
-    if isinstance(want, Space):
-        ok = isinstance(cls, DivisorClass) and cls.space == want
-        need = f"a marked class on (g={want.g}, n={want.n})"
-    else:
-        ok = isinstance(cls, UnmarkedClass) and cls.g == want
-        need = f"an unmarked genus-{want} class"
-    if not ok:
-        raise MalformedClassError(f"catalog entry {name!r} must be {need}")
+    if cls.space != space:
+        raise MalformedClassError(
+            f"catalog entry {name!r} must be a class on (g={space.g}, n={space.n})")
     return cls
 
 
@@ -92,7 +86,7 @@ def certificate_components(g: int, n: int, catalog=None):
     if (g, n) == (16, 8):
         return [
             ("D_16_8", averaged_class_16_8()),
-            ("Z16", forgetful_pullback(_catalog_class("Z16", catalog, 16), 8)),
+            ("Z16", forgetful_pullback(_catalog_class("Z16", catalog, Space(16, 0)), 8)),
         ]
     if (g, n) == (17, 8):
         return [
@@ -101,7 +95,7 @@ def certificate_components(g: int, n: int, catalog=None):
         ]
     if (g, n) == (12, 10):
         return [
-            ("D12", forgetful_pullback(_catalog_class("D12", catalog, 12), 10)),
+            ("D12", forgetful_pullback(_catalog_class("D12", catalog, Space(12, 0)), 10)),
             ("F12_10", _catalog_class("F12_10", catalog, Space(12, 10))),
         ]
     raise ValueError(f"no certificate recipe for (g, n) = ({g}, {n})")

@@ -20,32 +20,32 @@ from .picard import (
     Space,
     SpaceMismatchError,
     UNKNOWN,
-    UnmarkedClass,
-    boundary_orbits,
+    is_orbit,
 )
 
 
-def forgetful_pullback(cls: UnmarkedClass, n: int) -> DivisorClass:
-    """Pullback along the map forgetting all n marked points.
+def forgetful_pullback(cls: DivisorClass, n: int) -> DivisorClass:
+    """Pullback of a class on the unmarked space (g, 0) along the map
+    forgetting all n marked points.
 
-    lambda -> lambda, delta_0 -> delta_irr, and delta_i (i >= 1) -> the sum of
-    every boundary divisor whose stabilization forgets to delta_i, i.e. the
-    whole (i, s) orbit for every s.  Bound/Unknown inputs propagate.
+    lambda -> lambda, delta_irr -> delta_irr, and delta_i (i >= 1) -> the sum
+    of every boundary divisor whose stabilization forgets to delta_i, i.e. the
+    whole (i, s) orbit for every s; the genus-0 tails delta_{0:S} are
+    contracted, so row 0 is zero.  The result's boundary rest is the most
+    common row value and only the rows that differ from it are listed, so the
+    cost is O(n) per such row.  Bound/Unknown inputs propagate.
     """
-    space = Space(cls.g, n)
-    sym = {}
-    for (i, s) in boundary_orbits(space):
-        if i == 0:
-            continue  # genus-0 tails are contracted; delta_{0:S} never appears
-        c = cls.delta[i]
-        if not c.is_zero:
-            sym[(i, s)] = c
-    return DivisorClass(
-        space,
-        lam=cls.lam,
-        delta_irr=cls.delta[0],
-        boundary_sym=sym,
-    )
+    g = cls.space.g
+    if cls.space.n:
+        raise SpaceMismatchError(f"forgetful pullback needs a class on (g={g}, n=0), "
+                                 f"not {cls.space}")
+    space = Space(g, n)
+    rows = [EXACT_ZERO] + [cls.boundary_coefficient(i, ()) for i in range(1, g // 2 + 1)]
+    rest = max(rows, key=rows.count)
+    sym = {(i, s): c for i, c in enumerate(rows) if c != rest
+           for s in range(n + 1) if is_orbit(space, i, s)}
+    return DivisorClass(space, lam=cls.lam, delta_irr=cls.delta_irr,
+                        boundary_sym=sym, boundary_rest=rest)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ from mgn_divisors.certificates import (
     solve_certificate,
 )
 from mgn_divisors.picard import (
-    Coefficient, DivisorClass, Space, UNKNOWN, boundary_orbits, serialize)
+    Coefficient, DivisorClass, MalformedClassError, Space, UNKNOWN, boundary_orbits,
+    class_to_dict, serialize)
 from mgn_divisors.presets import certificate_components, certify
 
 
@@ -65,15 +66,18 @@ class TestCatalog:
 
     def test_bn5_values(self):
         cls = catalog_get("BN5_3").cls
+        assert cls.space == Space(5, 0)
         assert cls.lam == Coefficient.exact(8)
-        assert cls.delta == (Coefficient.exact(-1), Coefficient.exact(-4),
-                             Coefficient.exact(-6))
+        assert cls.delta_irr == Coefficient.exact(-1)
+        assert [cls.boundary_coefficient(i, ()) for i in (1, 2)] == [
+            Coefficient.exact(-4), Coefficient.exact(-6)]
 
     def test_unpublished_tails_are_unknown(self):
         z16 = catalog_get("Z16").cls
+        assert z16.space == Space(16, 0)
         assert z16.lam == Coefficient.exact(407)
-        assert z16.delta[0] == Coefficient.exact(-61)
-        assert all(c == UNKNOWN for c in z16.delta[1:])
+        assert z16.delta_irr == Coefficient.exact(-61)
+        assert all(z16.boundary_coefficient(i, ()) == UNKNOWN for i in range(1, 9))
 
     def test_dump_load_round_trip(self, tmp_path):
         path = tmp_path / "catalog.json"
@@ -81,6 +85,29 @@ class TestCatalog:
         cat = catalog_load(path)
         assert cat["BN5_3"].cls == catalog_get("BN5_3").cls
         assert "Z16" in cat  # built-ins are kept
+
+    def test_dump_load_round_trips_every_builtin(self, tmp_path):
+        builtins = {name: catalog_get(name) for name in catalog_names()}
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(catalog_dump(builtins)))
+        assert catalog_load(path) == builtins
+        assert all(set(entry) == {"name", "class", "note"}
+                   for entry in catalog_dump(builtins)["entries"])
+
+    def test_legacy_unmarked_entry_is_malformed(self, tmp_path):
+        doc = {"entries": [{"name": "Z16", "kind": "unmarked", "class": {
+            "g": 16, "lambda": {"exact": "407"}, "delta": {"0": {"exact": "-61"}}}}]}
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedClassError):
+            catalog_load(path)
+
+    def test_unmarked_entry_loads_as_a_class_on_n_0(self, tmp_path):
+        cls = DivisorClass(Space(16, 0), lam=400, delta_irr=-60,
+                           boundary_sym={(8, 0): -1}, boundary_rest=UNKNOWN)
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"entries": [{"name": "Z16", "class": class_to_dict(cls)}]}))
+        assert catalog_load(path)["Z16"].cls == cls
 
     def test_load_override(self, tmp_path):
         doc = {"entries": [{

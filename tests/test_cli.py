@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import mgn_divisors
 from mgn_divisors.cli import main
 
 
@@ -156,7 +161,14 @@ class TestCertifyCatalogErrors:
     def test_wrong_kind(self, runner, tmp_path):
         doc = {"entries": [_marked_entry("Z16", 16, 8)]}
         result = self._certify(runner, tmp_path, json.dumps(doc))
-        self._assert_usage_error(result, "'Z16'", "unmarked genus-16")
+        self._assert_usage_error(result, "'Z16'", "(g=16, n=0)")
+
+    def test_legacy_unmarked_document(self, runner, tmp_path):
+        # an unmarked class is a class document with n = 0; the old form has no "space"
+        doc = {"entries": [{"name": "Z16", "kind": "unmarked", "class": {
+            "g": 16, "lambda": {"exact": "407"}, "delta": {"0": {"exact": "-61"}}}}]}
+        result = self._certify(runner, tmp_path, json.dumps(doc))
+        self._assert_usage_error(result, "catalog", "space")
 
     def test_wrong_space(self, runner, tmp_path):
         doc = {"entries": [_marked_entry("BN17", 17, 9)]}
@@ -177,6 +189,21 @@ class TestCertifyCatalogErrors:
         result = self._certify(runner, tmp_path, json.dumps(doc), g="17", n="8")
         assert result.exit_code == 0
         assert "a = 1/20" in result.output
+
+
+def test_cli_imports_only_stdlib_and_click():
+    """The runtime dependencies are the standard library and click.  Modules
+    already loaded at interpreter start-up (site hooks) are not counted."""
+    probe = ("import sys; before = set(sys.modules); import mgn_divisors.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(mgn_divisors.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "mgn_divisors.cli" in loaded
+    allowed = set(sys.stdlib_module_names) | {"click", "mgn_divisors"}
+    assert sorted({name.partition(".")[0] for name in loaded} - allowed) == []
 
 
 def test_width_env_wraps_output(runner, monkeypatch):
@@ -217,6 +244,16 @@ PINNED_STDOUT = {
         "fca2514caf1d1817036f6ab4fc1a824b660fefae29ef27b5df9fb5b57e091068",
     "verify grr --t-max 16 --json":
         "d517c1b296312d6460cb828cffb5a005fc4db4c723dc342db692237c70e58983",
+    "certify --g 16 --n 8 --json":
+        "947bea505ef6110e6aa80ade498633ce71204c6f9bf3ebf7a5865972288d200d",
+    "pullback --preset bn5-to-51 --json":
+        "8c9c876ad8c77cc5c653a5970ad0e472e72a949572e72cbee8bcc316736a3fde",
+    "pullback --preset quad3-to-168 --json":
+        "4e9aa2490222a1f524eae46232a97355b66d24f4807701746c112c958d06a32b",
+    "verify pullbacks --json":
+        "d7687359e78fa8f6f69186b07663978a5548e26bb5e39ed33db664f4d0f884ae",
+    "verify certificates --json":
+        "4b8b82a79ab19ee5e865bca7980f46285c25f372081ef127e1d83bf2259f9ba7",
 }
 
 

@@ -39,11 +39,6 @@ class TestPushforward:
         assert out.psi_coefficient(1) == Coefficient.exact(-1)
         assert out.psi_coefficient(2) == Coefficient.exact(0)
 
-    def test_r1_correction_is_added(self):
-        corr = DivisorClass(SPACE, lam=Fraction(1, 2))
-        out = c1_pushforward(SPACE, uniform_bundle(SPACE, 1, -1), r1_correction=corr)
-        assert out.lam == Coefficient.exact(Fraction(3, 2))
-
     def test_foreign_twist_labels_rejected(self):
         with pytest.raises(ValueError):
             c1_pushforward(SPACE, FiberwiseLineBundle(1, {9: -1}))

@@ -101,9 +101,13 @@ class TestSpaceAndIndexing:
         assert a == BoundaryIndex(3, frozenset({1}))
         assert b == BoundaryIndex(3, frozenset({1}))  # mirror of {2}
 
-    def test_middle_genus_unmarked_has_no_representative(self):
-        with pytest.raises(UnstableIndexError):
-            canonical_index(Space(4, 0), 2, set())
+    def test_middle_genus_unmarked_is_its_own_mirror(self):
+        space = Space(4, 0)
+        assert canonical_index(space, 2, set()) == BoundaryIndex(2, frozenset())
+        assert is_orbit(space, 2, 0)
+        assert orbit_count(space) == 2
+        assert orbit_size(space, 2, 0) == 1
+        assert list(orbit_members(space, 2, 0)) == [BoundaryIndex(2, frozenset())]
 
     def test_canonicalization_exhaustive_small(self):
         """Idempotence and involution over every admissible (i, S), g<=8, n<=4."""
@@ -532,6 +536,15 @@ class TestPairingPerOrbit:
         assert intersect_test_curve(exact_rest, curve) == 5 + 5 - 4 * 3
         assert member_by_member(exact_rest, curve) == 5 + 5 - 4 * 3
 
+    def test_unmarked_middle_genus_is_counted_once(self):
+        # on (4, 0), delta_{2:{}} is its own mirror: T_{2:{}} meets it with -(2*2-2) = -2
+        space = Space(4, 0)
+        curve = Pencil(space, 2, set())
+        by_index = DivisorClass(space, boundary={(2, frozenset()): 1})
+        by_orbit = DivisorClass(space, boundary_sym={(2, 0): 1})
+        for cls in (by_index, by_orbit):
+            assert intersect_test_curve(cls, curve) == member_by_member(cls, curve) == -2
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -551,6 +564,13 @@ class TestSerialization:
         cls = DivisorClass(SPACE_53, lam=Fraction(1, 3))
         assert "0.3" not in serialize(cls)
         assert "1/3" in serialize(cls)
+
+    def test_round_trip_unmarked_middle_genus(self):
+        cls = DivisorClass(Space(4, 0), lam=2, delta_irr=-1,
+                           boundary={(2, frozenset()): Coefficient.at_least(3)},
+                           boundary_sym={(1, 0): 7}, boundary_rest=UNKNOWN)
+        assert deserialize(serialize(cls)) == cls
+        assert serialize(deserialize(serialize(cls))) == serialize(cls)
 
     def test_non_canonical_index_rejected(self):
         doc = class_to_dict(DivisorClass(SPACE_53))

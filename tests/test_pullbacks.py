@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mgn_divisors import presets
+from mgn_divisors.certificates import catalog_get
 from mgn_divisors.exact import Poly
 from mgn_divisors.family import b0, b1, quad_class
 from mgn_divisors.picard import (
@@ -11,7 +12,7 @@ from mgn_divisors.picard import (
     Space,
     SpaceMismatchError,
     UNKNOWN,
-    UnmarkedClass,
+    boundary_orbits,
 )
 from mgn_divisors.pullbacks import (
     ClutchingMap,
@@ -31,12 +32,37 @@ from mgn_divisors.presets import (
 )
 
 
+def fanned_out(cls, n):
+    """The forgetful pullback written out orbit by orbit: row i of the target
+    carries the coefficient of delta_i on the unmarked space, row 0 is zero."""
+    space = Space(cls.space.g, n)
+    return DivisorClass(
+        space, lam=cls.lam, delta_irr=cls.delta_irr,
+        boundary_sym={(i, s): cls.boundary_coefficient(i, ()) if i else 0
+                      for i, s in boundary_orbits(space)})
+
+
+# class on (g, 0) and the number of points to pull it back to
+UNMARKED_CLASSES = {
+    "BN5_3": (catalog_get("BN5_3").cls, 1),
+    "Z16": (catalog_get("Z16").cls, 8),
+    "D12": (catalog_get("D12").cls, 10),
+    "(6,0)-to-(6,2)": (DivisorClass(Space(6, 0), lam=1, delta_irr=-2,
+                                    boundary_sym={(1, 0): 3, (3, 0): 5}), 2),
+    "(16,0)-every-row-distinct": (DivisorClass(Space(16, 0), lam=407, delta_irr=-61,
+                                               boundary_sym={(i, 0): -i for i in range(1, 9)}), 8),
+    "(12,0)-bound-and-rest": (DivisorClass(Space(12, 0), lam=2, boundary_rest=7,
+                                           boundary_sym={(2, 0): Coefficient.at_most(-1)}), 10),
+}
+
+
 class TestForgetful:
     def test_bn5_oracle(self):
         assert bn5_pullback() == quad_class(0)
 
     def test_orbit_fanout(self):
-        cls = UnmarkedClass(6, lam=1, delta={0: -2, 1: 3, 3: 5})
+        cls = DivisorClass(Space(6, 0), lam=1, delta_irr=-2,
+                           boundary_sym={(1, 0): 3, (3, 0): 5})
         out = forgetful_pullback(cls, 2)
         assert out.lam == Coefficient.exact(1)
         assert out.delta_irr == Coefficient.exact(-2)
@@ -46,9 +72,43 @@ class TestForgetful:
         assert out.boundary_coefficient(2, {1}) == Coefficient.exact(0)
 
     def test_bounds_propagate(self):
-        cls = UnmarkedClass(6, delta={2: Coefficient.at_most(-1)})
+        cls = DivisorClass(Space(6, 0), boundary_sym={(2, 0): Coefficient.at_most(-1)})
         out = forgetful_pullback(cls, 1)
         assert out.boundary_coefficient(2, {1}) == Coefficient.at_most(-1)
+
+    @pytest.mark.parametrize("name", list(UNMARKED_CLASSES))
+    def test_equals_orbit_by_orbit_fanout(self, name):
+        cls, n = UNMARKED_CLASSES[name]
+        assert forgetful_pullback(cls, n) == fanned_out(cls, n)
+
+    def test_middle_genus_row_reaches_every_orbit(self):
+        # on (6, 2) the delta_3 row is the orbits (3, 1) and (3, 2); (3, 0) is (3, {1, 2})
+        out = forgetful_pullback(DivisorClass(Space(6, 0), boundary_sym={(3, 0): 5}), 2)
+        assert [key for key, _ in out.boundary_orbit_items()] == [(3, 1), (3, 2)]
+        assert out.boundary_coefficient(3, set()) == Coefficient.exact(5)
+        assert out.boundary_coefficient(3, {2}) == Coefficient.exact(5)
+
+    def test_explicit_row_entry_pulls_back_like_an_orbit_entry(self):
+        space = Space(16, 0)
+        by_orbit = DivisorClass(space, lam=3, boundary_sym={(8, 0): -2, (3, 0): 4},
+                                boundary_rest=UNKNOWN)
+        by_index = DivisorClass(space, lam=3, boundary={(8, frozenset()): -2,
+                                                        (13, frozenset()): 4},
+                                boundary_rest=UNKNOWN)
+        assert by_index == by_orbit
+        assert forgetful_pullback(by_index, 8) == forgetful_pullback(by_orbit, 8)
+        assert forgetful_pullback(by_index, 8).boundary_coefficient(8, {1}) == \
+            Coefficient.exact(-2)
+
+    def test_marked_input_rejected(self):
+        with pytest.raises(SpaceMismatchError, match="n=0"):
+            forgetful_pullback(DivisorClass(Space(6, 1), lam=1), 2)
+
+    def test_does_not_enumerate_target_orbits(self, boundary_orbit_yields):
+        z16 = catalog_get("Z16").cls
+        yielded = boundary_orbit_yields()
+        forgetful_pullback(z16, 8)
+        assert yielded == []
 
 
 class TestClutchingMap:

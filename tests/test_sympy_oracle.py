@@ -1,12 +1,16 @@
-"""The family formulas checked against sympy, an algebra system independent of `exact.Poly`.
+"""The family formulas, `Poly` arithmetic and `solve_linear` checked against
+sympy, an algebra system independent of `exact`.
 
 Each formula is typed here from its closed form, not from the library code.
 sympy is a test-only dependency, so the module is skipped where it is missing.
 """
 
-import pytest
+from fractions import Fraction
 
-from mgn_divisors.exact import Poly
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mgn_divisors.exact import LinearSystem, Poly, solve_linear
 from mgn_divisors.family import (
     b0,
     b1,
@@ -112,3 +116,102 @@ def test_pic12_solution():
     assert len(solution) == 1
     got10, got11 = b_from_pic12(T)
     assert same(got10, solution[0][b10]) and same(got11, solution[0][b11])
+
+
+# ---------------------------------------------------------------------------
+# Poly arithmetic against sympy.expand
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def polys(draw):
+    names = draw(st.lists(st.sampled_from("xyz"), unique=True, max_size=3))
+    exponents = st.tuples(*(st.integers(0, 3) for _ in names))
+    return Poly(names, draw(st.dictionaries(exponents, small_rationals, max_size=4)))
+
+
+def rational(x: Fraction):
+    return sp.Rational(x.numerator, x.denominator)
+
+
+def sympy_of(p: Poly):
+    return sp.expand(to_sympy(p))
+
+
+@given(polys(), polys())
+@settings(max_examples=60, deadline=None)
+def test_poly_sum_and_difference(p, q):
+    assert same(p + q, sympy_of(p) + sympy_of(q))
+    assert same(p - q, sympy_of(p) - sympy_of(q))
+
+
+@given(polys(), polys(), small_rationals)
+@settings(max_examples=60, deadline=None)
+def test_poly_product(p, q, c):
+    assert same(p * q, sp.expand(sympy_of(p) * sympy_of(q)))
+    assert same(c * p, sp.expand(rational(c) * sympy_of(p)))
+
+
+@given(polys(), st.integers(0, 3))
+@settings(max_examples=30, deadline=None)
+def test_poly_power(p, k):
+    assert same(p ** k, sp.expand(sympy_of(p) ** k))
+
+
+# ---------------------------------------------------------------------------
+# solve_linear against Matrix.rref
+
+
+def rref_outcome(matrix, rhs):
+    """(status, vector) of matrix * x = rhs read off sympy's reduced row
+    echelon form of the augmented matrix."""
+    cols = len(matrix[0])
+    augmented = sp.Matrix([[rational(x) for x in row] + [rational(b)]
+                           for row, b in zip(matrix, rhs)])
+    reduced, pivots = augmented.rref()
+    if cols in pivots:
+        return "infeasible", None
+    if len(pivots) < cols:
+        return "underdetermined", None
+    return "unique", tuple(Fraction(int(v.p), int(v.q)) for v in reduced[:cols, cols])
+
+
+def library_outcome(matrix, rhs):
+    sol = solve_linear(LinearSystem(matrix, rhs))
+    return sol.status, sol.vector
+
+
+@pytest.mark.parametrize("matrix,rhs,status", [
+    ([[1, 2], [3, 4]], [5, 6], "unique"),
+    ([[0, 2, 1], [1, 0, 0], [Fraction(1, 3), 1, -1]], [1, 2, 3], "unique"),
+    ([[1, 1], [1, 1], [2, -1]], [2, 2, 1], "unique"),  # more rows than unknowns
+    ([[1, 2], [2, 4]], [3, 6], "underdetermined"),
+    ([[1, 2, 3]], [1], "underdetermined"),
+    ([[0, 0], [0, 0]], [0, 0], "underdetermined"),
+    ([[1, 2], [2, 4]], [3, 7], "infeasible"),
+    ([[1, 0], [0, 1], [1, 1]], [1, 1, 3], "infeasible"),
+    ([[0, 0]], [1], "infeasible"),
+])
+def test_solve_linear_cases(matrix, rhs, status):
+    matrix = [[Fraction(x) for x in row] for row in matrix]
+    rhs = [Fraction(b) for b in rhs]
+    assert rref_outcome(matrix, rhs)[0] == status
+    assert library_outcome(matrix, rhs) == rref_outcome(matrix, rhs)
+
+
+@st.composite
+def systems(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.one_of(st.just(Fraction(0)), small_rationals)  # zeros make rank drop often
+    matrix = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    rhs = draw(st.lists(entries, min_size=rows, max_size=rows))
+    return matrix, rhs
+
+
+@given(systems())
+@settings(max_examples=150, deadline=None)
+def test_solve_linear_agrees_with_rref(system):
+    matrix, rhs = system
+    assert library_outcome(matrix, rhs) == rref_outcome(matrix, rhs)
