@@ -1,5 +1,16 @@
 """Canonical classes, the effective-class catalog, and general-type certificates.
 
+The canonical class is derived, not typed: the GRR engine gives c1 of
+pi_*(omega tensor omega(sum sigma_j)), the Harris-Mumford correction from
+Omega to omega subtracts the total boundary, and the coarse space adds the
+ramification term -delta_{1:{}} along the elliptic tails that carry no marked
+point.  The result is
+
+    K = 13 lambda - 2 delta_irr + sum psi_j - 2 sum delta_{i:S} - delta_{1:{}},
+
+Harris-Mumford (Invent. Math. 67, 1982) for n = 0 and Logan (Amer. J. Math.
+125, 2003, Thm 2.6) with marked points.
+
 A certificate expresses the canonical class as
 
     K = a * sum psi_j + sum_k c_k * D_k + E,     a > 0, c_k >= 0,
@@ -7,8 +18,8 @@ A certificate expresses the canonical class as
 with the D_k known effective classes.  The linear algebra (three equations:
 lambda, the single psi equation by symmetry, delta_irr) is solved exactly;
 whether the residual E is effective on each boundary generator is *reported*
-per generator, never silently asserted, because the catalog inputs only pin
-the interior part.
+per orbit and per explicit index, never silently asserted, because the
+catalog inputs only pin the interior part.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import LinearSystem, rat_str, solve_linear
+from .grr import c1_pushforward, total_boundary, uniform_bundle
 from .picard import (
     Coefficient,
     DivisorClass,
@@ -27,9 +39,9 @@ from .picard import (
     SpaceMismatchError,
     UNKNOWN,
     boundary_orbits,
+    canonical_index,
     class_from_dict,
     class_to_dict,
-    is_orbit,
 )
 
 
@@ -50,23 +62,23 @@ class NegativeCoefficientError(CertificateError):
 
 
 def canonical_class(g: int, n: int) -> DivisorClass:
-    """The canonical class of the n-pointed genus-g space:
+    """The canonical class of the coarse n-pointed genus-g space, n >= 0.
 
-    13 lambda - 2 delta_irr + sum psi_j - 2 sum delta_{0:S} - 3 sum delta_{1:S}
-    - 2 sum_{i>=2} delta_{i:S}, keyed on canonical representatives (a
-    pre-canonical genus index g-1 resolves through the i=1 rule, etc.): the
-    boundary rest is -2 and only the i=1 row is listed.
+    c1_pushforward of omega^2(sum sigma_j) is c1 pi_*(omega tensor
+    omega(sum sigma_j)) = 13 lambda + sum psi_j - delta_irr - sum delta_{i:S};
+    the Harris-Mumford correction from Omega to omega adds minus the total
+    boundary, and the involution of an elliptic tail without marked points
+    adds -delta_{1:{}}.  Harris-Mumford (n = 0) and Logan, Thm 2.6 (n >= 1)
+    prove this for g >= 4.  At g = 2, 3 the coarse map can also ramify along
+    loci of hyperelliptic curves; the class returned there is the same
+    formula, not a theorem of either source.  At g = 2 delta_{1:{}} is
+    stored as its mirror, the orbit (1, n).
     """
-    if n < 1:
-        raise ValueError("canonical_class handles marked spaces (n >= 1)")
     space = Space(g, n)
-    sym = {(1, s): -3 for s in range(n + 1) if is_orbit(space, 1, s)}
-    return DivisorClass(space, lam=13, psi=1, delta_irr=-2, boundary_sym=sym,
-                        boundary_rest=-2)
-
-
-def psi_sum_class(space: Space) -> DivisorClass:
-    return DivisorClass(space, psi=1)
+    elliptic_tail = canonical_index(space, 1, ())
+    return (c1_pushforward(space, uniform_bundle(space, 2, 1))
+            .add(total_boundary(space, -1))
+            .add(DivisorClass(space, boundary_sym={(elliptic_tail.i, elliptic_tail.s): -1})))
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +201,11 @@ class Certificate:
                 "lambda": str(res.lam),
                 "psi": str(res.psi[0]) if res.psi else "0",
                 "delta_irr": str(res.delta_irr),
+                # the report lists every orbit row, then every explicit index row
                 "boundary": [
-                    {"i": key[0], "s": key[1], "status": status}
-                    for kind, key, status in self.residual_report
-                    if kind == "orbit"
+                    {"i": i, "s": s, "status": status} if kind == "orbit"
+                    else {"i": i, "S": list(s), "status": status}
+                    for kind, (i, s), status in self.residual_report
                 ],
             },
         }
@@ -247,7 +260,7 @@ def solve_certificate(space: Space, components) -> Certificate:
         if c < 0:
             raise NegativeCoefficientError(f"component {name} gets negative coefficient {c}")
 
-    residual = kraw.add(psi_sum_class(space).scale(-a))
+    residual = kraw.add(DivisorClass(space, psi=-a))
     for (_, cls), c in zip(components, cs):
         residual = residual.add(cls.scale(-c))
     assert residual.lam.is_zero and residual.delta_irr.is_zero

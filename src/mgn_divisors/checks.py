@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .certificates import perturbation_sound
 from .exact import Poly, rat_str
 from .family import (
     b0,
@@ -30,11 +31,13 @@ from .family import (
     verify_tilde_recurrence,
 )
 from .grr import c1_pushforward, porteous_equal_rank, total_boundary, uniform_bundle
-from .picard import DivisorClass
+from .picard import DivisorClass, Space
 from .presets import (
     averaged_class_16_8,
     averaged_class_17_8,
     bn5_pullback,
+    certificate_components,
+    certify,
     quad3_pullback_16_8,
     quad3_pullback_17_8,
 )
@@ -186,10 +189,6 @@ def check_pic12(t_max: int = 8):
 
 
 def check_certificates():
-    from .certificates import perturbation_sound
-    from .picard import Space
-    from .presets import certificate_components, certify
-
     expected = {
         (16, 8): ("13/272", [("D_16_8", "7/272"), ("Z16", "1/34")]),
         (17, 8): ("1/20", [("D_17_8", "1/20"), ("BN17", "3/5")]),

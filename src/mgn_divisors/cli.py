@@ -74,10 +74,10 @@ def quad(t, as_json):
 
 @class_.command()
 @click.option("--g", "g", required=True, type=click.IntRange(min=2))
-@click.option("--n", "n", required=True, type=click.IntRange(min=1))
+@click.option("--n", "n", required=True, type=click.IntRange(min=0))
 @click.option("--json", "as_json", is_flag=True)
 def canonical(g, n, as_json):
-    """The canonical class of the n-pointed genus-g space."""
+    """The canonical class of the n-pointed genus-g space (n = 0: the unmarked space)."""
     _emit_class(canonical_class(g, n), as_json)
 
 
@@ -144,7 +144,11 @@ def certify_cmd(g, n, catalog_path, as_json):
             click.echo(f"  c[{comp['name']}] = {comp['c']}")
         click.echo("  residual interior: lambda=0, psi=0, delta_irr=0")
         for b in doc["residual"]["boundary"]:
-            click.echo(f"  residual delta[{b['i']}:|S|={b['s']}]: {b['status']}")
+            if "s" in b:
+                click.echo(f"  residual delta[{b['i']}:|S|={b['s']}]: {b['status']}")
+            else:
+                labels = ",".join(map(str, b["S"]))
+                click.echo(f"  residual delta[{b['i']}:{{{labels}}}]: {b['status']}")
 
 
 if __name__ == "__main__":

@@ -45,10 +45,17 @@ def half(x):
 
 
 def parse_rat(s: str) -> Fraction:
+    """Read the wire form "p" or "p/q"; anything else, a JSON number or a
+    zero denominator included, raises ValueError."""
+    if not isinstance(s, str):
+        raise ValueError(f"a rational literal is a string, not {type(s).__name__}: {s!r}")
     s = s.strip()
     if not _RAT_RE.match(s):
         raise ValueError(f"not a rational literal: {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {s!r}") from None
 
 
 class Poly:

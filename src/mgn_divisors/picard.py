@@ -602,9 +602,16 @@ def serialize(cls: DivisorClass) -> str:
     return json.dumps(class_to_dict(cls), sort_keys=True, separators=(",", ":"))
 
 
+def _wire_int(x) -> int:
+    """A JSON integer; a float, a string or a boolean is malformed, not rounded."""
+    if type(x) is not int:
+        raise MalformedClassError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
 def class_from_dict(doc: dict) -> DivisorClass:
     try:
-        space = Space(int(doc["space"]["g"]), int(doc["space"]["n"]))
+        space = Space(_wire_int(doc["space"]["g"]), _wire_int(doc["space"]["n"]))
         lam = Coefficient.from_json(doc["lambda"])
         psi_doc = doc.get("psi", {})
         psi = {int(j): Coefficient.from_json(c) for j, c in psi_doc.items()}
@@ -613,7 +620,7 @@ def class_from_dict(doc: dict) -> DivisorClass:
         delta_irr = Coefficient.from_json(doc["delta_irr"])
         boundary = {}
         for entry in doc.get("boundary", []):
-            i, S = int(entry["i"]), frozenset(int(x) for x in entry["S"])
+            i, S = _wire_int(entry["i"]), frozenset(_wire_int(x) for x in entry["S"])
             idx = canonical_index(space, i, S)
             if (idx.i, idx.S) != (i, S):
                 raise MalformedClassError(
@@ -624,7 +631,7 @@ def class_from_dict(doc: dict) -> DivisorClass:
             boundary[idx] = Coefficient.from_json(entry["c"])
         sym = {}
         for entry in doc.get("boundary_sym", []):
-            key = (int(entry["i"]), int(entry["s"]))
+            key = (_wire_int(entry["i"]), _wire_int(entry["s"]))
             if key in sym:
                 raise MalformedClassError(f"duplicate boundary_sym entry (i, s) = {key}")
             sym[key] = Coefficient.from_json(entry["c"])

@@ -14,7 +14,6 @@ from mgn_divisors.certificates import (
     catalog_load,
     catalog_names,
     perturbation_sound,
-    psi_sum_class,
     solve_certificate,
 )
 from mgn_divisors.picard import (
@@ -29,7 +28,8 @@ class TestCanonicalClass:
         assert k.lam == Coefficient.exact(13)
         assert all(p == Coefficient.exact(1) for p in k.psi)
         assert k.delta_irr == Coefficient.exact(-2)
-        assert k.boundary_coefficient(1, {1}) == Coefficient.exact(-3)
+        assert k.boundary_coefficient(1, set()) == Coefficient.exact(-3)
+        assert k.boundary_coefficient(1, {1}) == Coefficient.exact(-2)
         assert k.boundary_coefficient(2, set()) == Coefficient.exact(-2)
         assert k.boundary_coefficient(0, {1, 2}) == Coefficient.exact(-2)
 
@@ -38,19 +38,30 @@ class TestCanonicalClass:
         # delta_{4:{1,2}} mirrors to delta_{1:{}}
         assert k.boundary_coefficient(4, {1, 2}) == Coefficient.exact(-3)
 
-    def test_unmarked_rejected(self):
-        with pytest.raises(ValueError):
-            canonical_class(5, 0)
+    @pytest.mark.parametrize("g", [5, 12, 16])
+    def test_unmarked_is_harris_mumford(self, g):
+        """Harris-Mumford: K = 13 lambda - 2 delta_0 - 3 delta_1 - 2 sum_{i>=2} delta_i."""
+        space = Space(g, 0)
+        harris_mumford = DivisorClass(
+            space, lam=13, delta_irr=-2,
+            boundary_sym={(i, 0): -3 if i == 1 else -2 for i in range(1, g // 2 + 1)})
+        k = canonical_class(g, 0)
+        assert k == harris_mumford
+        assert serialize(k) == serialize(harris_mumford)
 
-    # g = 2 has no (1, 0) orbit: delta_{1:{}} would need label 1 in S
-    @pytest.mark.parametrize("g,n", [(2, 3), (2, 1), (3, 1), (4, 2), (5, 3), (16, 8)])
+    @pytest.mark.parametrize("g,n", [(2, 3), (2, 1), (3, 1), (4, 2), (5, 3), (6, 4),
+                                     (12, 10), (16, 8), (17, 8)])
     def test_matches_every_orbit_written_out(self, g, n):
-        """The -2 rest with the i = 1 row listed is the class with -3 on every
-        i = 1 orbit and -2 on every other orbit."""
+        """Logan, Thm 2.6: K = 13 lambda - 2 delta_irr + sum psi_j - 2 sum delta_{i:S}
+        - delta_{1:{}}.  The g = 2 cases pin only where delta_{1:{}} is stored:
+        there is no (1, 0) orbit, so it is its mirror delta_{1:{1..n}}, the
+        orbit (1, n)."""
         space = Space(g, n)
+        elliptic_tail = (1, 0) if g > 2 else (1, n)
         written_out = DivisorClass(
             space, lam=13, psi=1, delta_irr=-2,
-            boundary_sym={(i, s): -3 if i == 1 else -2 for i, s in boundary_orbits(space)})
+            boundary_sym={key: -3 if key == elliptic_tail else -2
+                          for key in boundary_orbits(space)})
         k = canonical_class(g, n)
         assert k == written_out
         assert serialize(k) == serialize(written_out)
@@ -206,6 +217,23 @@ class TestSolveCertificate:
             certify(9, 2)
 
     def test_psi_sum_is_the_big_class(self):
-        cls = psi_sum_class(Space(5, 3))
+        cls = DivisorClass(Space(5, 3), psi=1)
         assert all(p == Coefficient.exact(1) for p in cls.psi)
         assert cls.lam.is_zero and cls.delta_irr.is_zero and cls.boundary_is_zero
+
+    def test_explicit_residual_row_is_reported(self):
+        """A residual entry on one index, not a whole orbit, is a row of its own:
+        the report lists it after the orbit rows, and to_json shows it."""
+        space = Space(5, 2)
+        components = [
+            ("lam", DivisorClass(space, lam=1)),
+            ("irr", DivisorClass(space, delta_irr=-1, boundary={(1, frozenset({1})): -1})),
+        ]
+        cert = solve_certificate(space, components)
+        assert (cert.a, [c for _, c in cert.components]) == (1, [13, 2])
+        # K has -2 at delta_{1:{1}}; minus 2 * (-1) leaves 0 there, and -2 on the rest of (1, 1)
+        assert cert.residual_report[-1] == ("index", (1, (1,)), "zero")
+        boundary = cert.to_json()["residual"]["boundary"]
+        assert boundary[-1] == {"i": 1, "S": [1], "status": "zero"}
+        assert {"i": 1, "s": 1, "status": "negative"} in boundary
+        assert all("s" in row for row in boundary[:-1])

@@ -52,6 +52,14 @@ class TestClass:
         doc = json.loads(result.output)
         assert doc["lambda"] == {"exact": "13"}
 
+    def test_canonical_unmarked(self, runner):
+        result = runner.invoke(main, ["class", "canonical", "--g", "5", "--n", "0", "--json"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["psi"] == {}
+        assert doc["boundary_sym"] == [{"c": {"exact": "-3"}, "i": 1, "s": 0},
+                                       {"c": {"exact": "-2"}, "i": 2, "s": 0}]
+
     def test_missing_flag_is_usage_error(self, runner):
         result = runner.invoke(main, ["class", "quad"])
         assert result.exit_code == 2
@@ -127,6 +135,26 @@ class TestCertify:
         result = runner.invoke(main, ["certify", "--g", "9", "--n", "2"])
         assert result.exit_code == 2
 
+    def test_index_rows_are_printed(self, runner, tmp_path):
+        """An exact catalog boundary with one explicit entry leaves a residual
+        row on that index, printed after the orbit rows in both outputs."""
+        d12 = {"space": {"g": 12, "n": 0}, "lambda": {"exact": "13245"},
+               "delta_irr": {"exact": "-1926"}}
+        f12 = {"space": {"g": 12, "n": 10}, "lambda": {"exact": "0"},
+               "psi": {str(j): {"exact": "9"} for j in range(1, 11)},
+               "delta_irr": {"exact": "-1"},
+               "boundary": [{"i": 1, "S": [1], "c": {"exact": "-5"}}]}
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"entries": [{"name": "D12", "class": d12},
+                                                {"name": "F12_10", "class": f12}]}))
+        args = ["certify", "--g", "12", "--n", "10", "--catalog", str(path)]
+        text = runner.invoke(main, args)
+        assert text.exit_code == 0
+        assert text.output.splitlines()[-1] == "  residual delta[1:{1}]: negative"
+        doc = json.loads(runner.invoke(main, [*args, "--json"]).output)
+        assert doc["a"] == "59/4415"
+        assert doc["residual"]["boundary"][-1] == {"i": 1, "S": [1], "status": "negative"}
+
     def test_byte_stable(self, runner):
         a = runner.invoke(main, ["certify", "--g", "17", "--n", "8", "--json"]).output
         b = runner.invoke(main, ["certify", "--g", "17", "--n", "8", "--json"]).output
@@ -182,6 +210,20 @@ class TestCertifyCatalogErrors:
                                g="12", n="10")
         self._assert_usage_error(result, "catalog")
 
+    @pytest.mark.parametrize("where,value,needle", [
+        ("lambda", {"exact": 407}, "407"),  # a JSON number, not the string "407"
+        ("lambda", {"exact": "1/0"}, "1/0"),
+        ("boundary_sym", [{"i": 1.9, "s": 0, "c": {"exact": "-5"}}], "JSON integer"),
+        ("space", {"g": True, "n": 0}, "JSON integer"),
+    ], ids=["number-coefficient", "zero-denominator", "float-index", "boolean-genus"])
+    def test_malformed_wire_value(self, runner, tmp_path, where, value, needle):
+        cls = {"space": {"g": 12, "n": 0}, "lambda": {"exact": "13245"},
+               "delta_irr": {"exact": "-1926"}}
+        cls[where] = value
+        doc = {"entries": [{"name": "D12", "class": cls}]}
+        self._assert_usage_error(self._certify(runner, tmp_path, json.dumps(doc)),
+                                 "catalog", needle)
+
     def test_valid_override_still_certifies(self, runner, tmp_path):
         doc = {"entries": [{"name": "BN17", "kind": "marked", "class": {
             "space": {"g": 17, "n": 8}, "lambda": {"exact": "20"},
@@ -221,9 +263,9 @@ PINNED_STDOUT = {
     "class quad --t 3 --json":
         "c48c7d3b27fc104c877de85d5a9488820041c1837421744f5e5c7a00448cb2f6",
     "class canonical --g 2 --n 3 --json":
-        "e41b4093165b19de1e06315224d0fa55a60622ac02e320e29ebb910a350a3c54",
+        "eaa071045d0bbb4d1a13510b9ca3124e10960aba68b4b81ea75d3839efc3a08d",
     "class canonical --g 16 --n 8 --json":
-        "892eac884bcc229dec333053949a0e5b050c55d6f5d24995c72a64a4a3d955db",
+        "c7cabd9b521738b4577b3c591327b639b414c2411ce65576f608530a279b16d6",
     "pullback --preset quad3-to-178 --json":
         "80e2098047363cd40742d956dfc3f9d6d134770ef3859f4a0de11dc5dbd27618",
     "certify --g 17 --n 8 --json":

@@ -35,10 +35,15 @@ class TestRat:
     def test_parse(self, text, value):
         assert parse_rat(text) == value
 
-    @pytest.mark.parametrize("text", ["", "1.5", "1/2/3", "a/b", "1 / 2"])
+    @pytest.mark.parametrize("text", ["", "1.5", "1/2/3", "a/b", "1 / 2", "1/0", "-3/00"])
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             parse_rat(text)
+
+    @pytest.mark.parametrize("value", [407, 1.5, None, ["1"], True])
+    def test_parse_rejects_non_string(self, value):
+        with pytest.raises(ValueError, match="string"):
+            parse_rat(value)
 
     @given(rationals)
     def test_round_trip(self, q):

@@ -596,6 +596,34 @@ class TestSerialization:
         with pytest.raises(MalformedClassError, match="duplicate"):
             class_from_dict(doc)
 
+    @pytest.mark.parametrize("field,entry", [
+        ("boundary", {"i": 1.9, "S": [1], "c": {"exact": "-5"}}),
+        ("boundary", {"i": 1, "S": [1.0], "c": {"exact": "-5"}}),
+        ("boundary", {"i": 1, "S": "1", "c": {"exact": "-5"}}),
+        ("boundary_sym", {"i": 1.9, "s": 0, "c": {"exact": "-5"}}),
+        ("boundary_sym", {"i": 1, "s": True, "c": {"exact": "-5"}}),
+    ])
+    def test_non_integer_index_rejected(self, field, entry):
+        doc = class_to_dict(DivisorClass(SPACE_53))
+        doc[field] = [entry]
+        with pytest.raises(MalformedClassError, match="JSON integer"):
+            class_from_dict(doc)
+
+    @pytest.mark.parametrize("space", [{"g": True, "n": 0}, {"g": 5.0, "n": 3},
+                                       {"g": "5", "n": 3}, {"g": 5, "n": False}])
+    def test_non_integer_space_rejected(self, space):
+        doc = class_to_dict(DivisorClass(SPACE_53))
+        doc["space"] = space
+        with pytest.raises(MalformedClassError, match="JSON integer"):
+            class_from_dict(doc)
+
+    @pytest.mark.parametrize("c", [{"exact": 407}, {"exact": "1/0"}, {"at_least": 1.5}])
+    def test_bad_coefficient_value_rejected(self, c):
+        doc = class_to_dict(DivisorClass(SPACE_53))
+        doc["lambda"] = c
+        with pytest.raises(MalformedClassError, match="bad coefficient value"):
+            class_from_dict(doc)
+
     def test_malformed_document(self):
         with pytest.raises(MalformedClassError):
             deserialize("[1, 2, 3]")
