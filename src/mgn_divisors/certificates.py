@@ -76,7 +76,7 @@ def canonical_class(g: int, n: int) -> DivisorClass:
     """
     space = Space(g, n)
     elliptic_tail = canonical_index(space, 1, ())
-    return (c1_pushforward(space, uniform_bundle(space, 2, 1))
+    return (c1_pushforward(space, uniform_bundle(2, 1))
             .add(total_boundary(space, -1))
             .add(DivisorClass(space, boundary_sym={(elliptic_tail.i, elliptic_tail.s): -1})))
 
@@ -199,7 +199,7 @@ class Certificate:
             "components": [{"name": nm, "c": rat_str(c)} for nm, c in self.components],
             "residual": {
                 "lambda": str(res.lam),
-                "psi": str(res.psi[0]) if res.psi else "0",
+                "psi": str(res.psi_rest),  # the residual's psi is symmetric
                 "delta_irr": str(res.delta_irr),
                 # the report lists every orbit row, then every explicit index row
                 "boundary": [
@@ -235,19 +235,20 @@ def solve_certificate(space: Space, components) -> Certificate:
     for name, cls in components:
         if cls.space != space:
             raise SpaceMismatchError(f"component {name} lives on {cls.space}, want {space}")
-        if not (cls.lam.is_exact and cls.delta_irr.is_exact and all(p.is_exact for p in cls.psi)):
+        if not (cls.lam.is_exact and cls.delta_irr.is_exact and cls.psi_rest.is_exact
+                and all(p.is_exact for _, p in cls.psi_items())):
             raise CertificateError(f"component {name} has a non-exact interior coefficient")
         if not cls.psi_symmetric:
             raise CertificateError(f"component {name} is not psi-symmetric")
 
-    # rows: lambda, psi (one equation by symmetry), delta_irr
+    # rows: lambda, psi (one equation by symmetry, read from the psi rest), delta_irr
     # columns: a, then one per component
     matrix = [
         [Fraction(0)] + [cls.lam.value for _, cls in components],
-        [Fraction(1)] + [cls.psi[0].value for _, cls in components],
+        [Fraction(1)] + [cls.psi_rest.value for _, cls in components],
         [Fraction(0)] + [cls.delta_irr.value for _, cls in components],
     ]
-    rhs = [kraw.lam.value, kraw.psi[0].value, kraw.delta_irr.value]
+    rhs = [kraw.lam.value, kraw.psi_rest.value, kraw.delta_irr.value]
     sol = solve_linear(LinearSystem(matrix, rhs))
     if sol.status == "infeasible":
         raise InfeasibleCertificateError("no exact interior decomposition exists")
@@ -264,7 +265,7 @@ def solve_certificate(space: Space, components) -> Certificate:
     for (_, cls), c in zip(components, cs):
         residual = residual.add(cls.scale(-c))
     assert residual.lam.is_zero and residual.delta_irr.is_zero
-    assert all(p.is_zero for p in residual.psi)
+    assert residual.psi_symmetric and residual.psi_rest.is_zero
 
     report = []
     for key in boundary_orbits(space):

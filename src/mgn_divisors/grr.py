@@ -17,19 +17,22 @@ from .picard import Coefficient, DivisorClass, Space
 
 @dataclass(frozen=True)
 class FiberwiseLineBundle:
-    """omega_pi^power twisted by sum over j of twists[j] * Delta_j."""
+    """omega_pi^power twisted by sum over j of m_j * Delta_j, where m_j is
+    twists[j] at a listed label and `twist` at every other label."""
 
     power: int
     twists: tuple  # ((label, m_j), ...) sorted
+    twist: int
 
-    def __init__(self, power: int, twists: Mapping[int, int]):
+    def __init__(self, power: int, twists: Mapping[int, int], twist: int = 0):
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "twists", tuple(sorted(twists.items())))
+        object.__setattr__(self, "twist", twist)
 
 
-def uniform_bundle(space: Space, power: int, twist: int) -> FiberwiseLineBundle:
-    """The same twist at every marked point."""
-    return FiberwiseLineBundle(power, {j: twist for j in space.labels})
+def uniform_bundle(power: int, twist: int) -> FiberwiseLineBundle:
+    """The same twist at every marked point, on any space."""
+    return FiberwiseLineBundle(power, {}, twist)
 
 
 def total_boundary(space: Space, scalar=1) -> DivisorClass:
@@ -52,18 +55,18 @@ def c1_pushforward(space: Space, bundle: FiberwiseLineBundle) -> DivisorClass:
     computable here, and no bundle used in this package needs it.
     """
     a = bundle.power
-    twists = dict(bundle.twists)
-    if not set(twists) <= set(space.labels):
-        raise ValueError("twist labels outside 1..n")
-    # upstairs: c1(L) = a psi_{n+1} + sum d_j Delta_j with d_j = m_j - a
-    d = {j: twists.get(j, 0) - a for j in space.labels}
     # (c1(L)^2 - c1(L) c1(omega)) has psi^2 coefficient a^2 - a and
     # Delta_j^2 coefficient d_j^2 + d_j; cross terms push forward to zero.
     kappa_weight = Fraction(a * a - a, 2)
+    # upstairs: c1(L) = a psi_{n+1} + sum d_j Delta_j with d_j = m_j - a;
+    # one psi coefficient per distinct twist m
+    psi_of = {m: Coefficient.exact(kappa_weight - Fraction((m - a) * (m - a + 1), 2))
+              for m in {bundle.twist, *(m for _, m in bundle.twists)}}
     return DivisorClass(
         space,
         lam=1 + 12 * kappa_weight,
-        psi={j: kappa_weight - Fraction(d[j] * d[j] + d[j], 2) for j in space.labels},
+        psi={j: psi_of[m] for j, m in bundle.twists},
+        psi_rest=psi_of[bundle.twist],
         delta_irr=-kappa_weight,
         boundary_rest=-kappa_weight,
     )

@@ -12,11 +12,14 @@ literature) and delta_i as the (i, 0) orbit for 1 <= i <= g/2.
 
 Boundary data is stored in three layers, each overriding the one before: a
 rest coefficient shared by every boundary divisor, per-orbit entries keyed by
-canonical (i, |S|), and explicit per-index entries.  The symmetric layers are
-what make large spaces (n up to 153 in the verification sweeps) tractable:
-every class this package constructs is label-symmetric on the boundary, and
-most share one coefficient on all but a few orbits, so arithmetic costs
-O(listed orbits + explicit entries), not O(all orbits).
+canonical (i, |S|), and explicit per-index entries.  psi is stored the same
+way in two layers: a rest coefficient shared by every label, and the labels
+whose coefficient differs from it.  The symmetric layers are what make large
+spaces (n up to 153 in the benchmark sweep, 861 at t = 40) tractable: every
+class this package constructs is label-symmetric on the boundary, most share
+one coefficient on all but a few orbits, and most have one psi coefficient at
+every label, so arithmetic costs O(listed orbits + explicit entries + psi
+exceptions), not O(all orbits) or O(n).
 """
 
 from __future__ import annotations
@@ -278,32 +281,59 @@ def all_canonical_indices(space: Space):
 # divisor classes
 
 
+def _check_label(space: Space, j) -> None:
+    if type(j) is not int or not 1 <= j <= space.n:
+        raise ValueError(f"psi label {j!r} outside 1..{space.n}")
+
+
 class DivisorClass:
     """Immutable linear combination of the standard Picard generators.
+
+    The coefficient of psi_j is read from two layers: `psi_rest`, shared by
+    every label (default Exact(0)), and the labels that `psi` lists.  `psi`
+    may also be one scalar (every label) or a sequence of n values.  When
+    every label is listed, the rest becomes the most common listed value.
 
     The boundary coefficient of delta_{i:S} is read from three layers, each
     overriding the one before: `boundary_rest`, shared by every boundary
     divisor (default Exact(0)); `boundary_sym`, per-orbit (i, s) entries; and
-    `boundary`, explicit per-index entries.  The stored form is normal: an
-    orbit entry equal to the rest, or an explicit entry equal to its orbit's
-    value, is dropped.  All arithmetic is generator-wise Coefficient
-    arithmetic and costs O(listed orbits + explicit entries).
+    `boundary`, explicit per-index entries.
+
+    The stored form is normal: a psi entry equal to the psi rest, an orbit
+    entry equal to the boundary rest, or an explicit entry equal to its
+    orbit's value, is dropped.  All arithmetic is generator-wise Coefficient
+    arithmetic and costs O(psi exceptions + listed orbits + explicit entries),
+    independent of n.
     """
 
-    __slots__ = ("space", "lam", "psi", "delta_irr", "_explicit", "_orbits", "_rest")
+    __slots__ = ("space", "lam", "delta_irr", "_psi", "_psi_rest",
+                 "_explicit", "_orbits", "_rest")
 
     def __init__(self, space, lam=0, psi=0, delta_irr=0, boundary=None, boundary_sym=None,
-                 boundary_rest=EXACT_ZERO):
+                 boundary_rest=EXACT_ZERO, psi_rest=EXACT_ZERO):
         self.space = space
         self.lam = coeff(lam)
+        psi_rest = coeff(psi_rest)
         if isinstance(psi, dict):
-            self.psi = tuple(coeff(psi.get(j, 0)) for j in space.labels)
+            entries = psi
         elif isinstance(psi, (tuple, list)):
             if len(psi) != space.n:
                 raise ValueError("psi vector length does not match n")
-            self.psi = tuple(coeff(p) for p in psi)
+            entries = dict(zip(space.labels, psi))
         else:
-            self.psi = tuple(coeff(psi) for _ in space.labels)
+            entries, psi_rest = {}, coeff(psi)
+        listed = {}
+        for j, c in entries.items():
+            _check_label(space, j)
+            listed[j] = coeff(c)
+        if len(listed) == space.n:
+            # every label is listed: the most common value becomes the rest
+            counts = {}
+            for c in listed.values():
+                counts[c] = counts.get(c, 0) + 1
+            psi_rest = max(counts, key=counts.get, default=EXACT_ZERO)
+        self._psi = {j: c for j, c in listed.items() if c != psi_rest}
+        self._psi_rest = psi_rest
         self.delta_irr = coeff(delta_irr)
 
         rest = coeff(boundary_rest)
@@ -363,11 +393,24 @@ class DivisorClass:
         return self._boundary_equal(DivisorClass(self.space))
 
     def psi_coefficient(self, label: int) -> Coefficient:
-        return self.psi[label - 1]
+        _check_label(self.space, label)
+        return self._psi.get(label, self._psi_rest)
+
+    @property
+    def psi_rest(self) -> Coefficient:
+        """The psi coefficient shared by every label that psi_items leaves out."""
+        return self._psi_rest
+
+    def psi_items(self):
+        """Sorted (label, coefficient) pairs of the labels whose psi coefficient
+        differs from psi_rest."""
+        return sorted(self._psi.items())
 
     @property
     def psi_symmetric(self) -> bool:
-        return self.space.n == 0 or all(p == self.psi[0] for p in self.psi)
+        # a fully listed psi is folded, so some label carries the rest and
+        # any listed label differs from it
+        return not self._psi
 
     # -- arithmetic --------------------------------------------------------
 
@@ -384,10 +427,13 @@ class DivisorClass:
         explicit = {}
         for idx in set(self._explicit) | set(other._explicit):
             explicit[idx] = self.boundary_coefficient(idx.i, idx.S) + other.boundary_coefficient(idx.i, idx.S)
+        psi = {j: self._psi.get(j, self._psi_rest) + other._psi.get(j, other._psi_rest)
+               for j in self._psi.keys() | other._psi.keys()}
         return DivisorClass(
             self.space,
             lam=self.lam + other.lam,
-            psi=tuple(a + b for a, b in zip(self.psi, other.psi)),
+            psi=psi,
+            psi_rest=self._psi_rest + other._psi_rest,
             delta_irr=self.delta_irr + other.delta_irr,
             boundary=explicit,
             boundary_sym=orbits,
@@ -399,7 +445,8 @@ class DivisorClass:
         return DivisorClass(
             self.space,
             lam=self.lam.scaled(c),
-            psi=tuple(p.scaled(c) for p in self.psi),
+            psi={j: p.scaled(c) for j, p in self._psi.items()},
+            psi_rest=self._psi_rest.scaled(c),
             delta_irr=self.delta_irr.scaled(c),
             boundary={idx: v.scaled(c) for idx, v in self._explicit.items()},
             boundary_sym={k: v.scaled(c) for k, v in self._orbits.items()},
@@ -418,9 +465,19 @@ class DivisorClass:
             return NotImplemented
         if self.space != other.space:
             return False
-        if (self.lam, self.psi, self.delta_irr) != (other.lam, other.psi, other.delta_irr):
+        if (self.lam, self.delta_irr) != (other.lam, other.delta_irr):
             return False
-        return self._boundary_equal(other)
+        return self._psi_equal(other) and self._boundary_equal(other)
+
+    def _psi_equal(self, other: "DivisorClass") -> bool:
+        """Whether every psi coefficient agrees, reading only listed labels:
+        the two rests may differ only when the labels listed by either class
+        cover every label."""
+        labels = self._psi.keys() | other._psi.keys()
+        if self._psi_rest != other._psi_rest and len(labels) < self.space.n:
+            return False
+        return all(self._psi.get(j, self._psi_rest) == other._psi.get(j, other._psi_rest)
+                   for j in labels)
 
     def _boundary_equal(self, other: "DivisorClass") -> bool:
         """Whether every boundary coefficient agrees, without enumerating orbits
@@ -449,13 +506,20 @@ class DivisorClass:
         return True
 
     def __hash__(self):
-        return hash((self.space, self.lam, self.psi, self.delta_irr))
+        # equal classes may store different psi rests; the multiset of psi
+        # values does not depend on which one
+        counts = {self._psi_rest: self.space.n - len(self._psi)}
+        for c in self._psi.values():
+            counts[c] = counts.get(c, 0) + 1
+        psi = frozenset(item for item in counts.items() if item[1])
+        return hash((self.space, self.lam, psi, self.delta_irr))
 
     def __repr__(self):
         parts = []
         if not self.lam.is_zero:
             parts.append(f"({self.lam})*lambda")
-        for j, p in zip(self.space.labels, self.psi):
+        for j in self.space.labels:
+            p = self._psi.get(j, self._psi_rest)
             if not p.is_zero:
                 parts.append(f"({p})*psi_{j}")
         if not self.delta_irr.is_zero:
@@ -506,6 +570,10 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Fraction:
     -(2(g-i)-2+n-s) times delta_{i:S}; every other generator pairs to zero.
     Raises InsufficientInformationError if a needed coefficient is not Exact.
 
+    psi is read per layer: each listed label outside S adds its own value,
+    and the n-s-k other labels outside S add the psi rest, which is read only
+    when that count is not zero.
+
     The boundary is read per orbit, not member by member.  The n-s divisors
     delta_{i:S+{j}} lie in one canonical orbit, (i, s+1) or its mirror
     (g-i, n-s-1) when i > g/2; at i = g/2 they split in two by whether label 1
@@ -539,9 +607,13 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Fraction:
         return (g - i, n - size)
 
     total = Fraction(0)
-    for j in curve.space.labels:
+    at_rest = n - s
+    for j, c in cls._psi.items():
         if j not in S:
-            total += exact_value(cls.psi_coefficient(j), f"psi_{j}")
+            total += exact_value(c, f"psi_{j}")
+            at_rest -= 1
+    if at_rest:
+        total += at_rest * exact_value(cls._psi_rest, "psi_j shared by the unlisted labels")
 
     # delta_{i:S+{j}} for j outside S, counted per orbit; label 1 matters only at
     # i = g/2, and it is in S+{j} for every j when 1 is in S, else only for j = 1
@@ -584,7 +656,7 @@ def class_to_dict(cls: DivisorClass) -> dict:
     return {
         "space": {"g": cls.space.g, "n": cls.space.n},
         "lambda": cls.lam.to_json(),
-        "psi": {str(j): p.to_json() for j, p in zip(cls.space.labels, cls.psi)},
+        "psi": {str(j): cls.psi_coefficient(j).to_json() for j in cls.space.labels},
         "delta_irr": cls.delta_irr.to_json(),
         "boundary": [
             {"i": idx.i, "S": sorted(idx.S), "c": v.to_json()}
@@ -609,14 +681,24 @@ def _wire_int(x) -> int:
     return x
 
 
+def _wire_label(key, space: Space) -> int:
+    """A psi key: exactly the text str(j) of a label j in 1..n.  Other texts
+    that int() reads, such as "01", "+1", " 1" or "0_1", would let two keys
+    name one label."""
+    j = int(key) if isinstance(key, str) and key.isdecimal() else None
+    if j is None or key != str(j) or not 1 <= j <= space.n:
+        raise MalformedClassError(f"bad psi label {key!r} on (g={space.g}, n={space.n})")
+    return j
+
+
 def class_from_dict(doc: dict) -> DivisorClass:
     try:
         space = Space(_wire_int(doc["space"]["g"]), _wire_int(doc["space"]["n"]))
         lam = Coefficient.from_json(doc["lambda"])
         psi_doc = doc.get("psi", {})
-        psi = {int(j): Coefficient.from_json(c) for j, c in psi_doc.items()}
-        if not set(psi) <= set(space.labels):
-            raise MalformedClassError("psi labels outside 1..n")
+        if not isinstance(psi_doc, dict):
+            raise MalformedClassError(f"psi must be a JSON object, got {psi_doc!r}")
+        psi = {_wire_label(j, space): Coefficient.from_json(c) for j, c in psi_doc.items()}
         delta_irr = Coefficient.from_json(doc["delta_irr"])
         boundary = {}
         for entry in doc.get("boundary", []):

@@ -124,18 +124,21 @@ def clutch_pullback(cls: DivisorClass, m: ClutchingMap) -> DivisorClass:
     contribution; the tail's own psi classes restrict to zero since the tail
     is fixed).  If the input has any boundary term, every boundary coefficient
     of the result is Unknown; a boundary-free input pulls back exactly.
+
+    The result keeps the input's psi rest and lists only the attachment
+    labels and the retained labels whose target psi is listed.
     """
     if cls.space != m.target:
         raise SpaceMismatchError(f"class lives on {cls.space}, map targets {m.target}")
-    psi = {}
-    for src, tgt in m.retained:
-        psi[src] = cls.psi_coefficient(tgt)
+    listed = dict(cls.psi_items())
+    psi = {src: listed[tgt] for src, tgt in m.retained if tgt in listed}
     for a in m.attachments:
         psi[a.at_label] = cls.boundary_coefficient(a.tail_genus, a.tail_labels).scaled(-1)
     return DivisorClass(
         m.source,
         lam=cls.lam,
         psi=psi,
+        psi_rest=cls.psi_rest,
         delta_irr=cls.delta_irr,
         boundary_rest=EXACT_ZERO if cls.boundary_is_zero else UNKNOWN,
     )

@@ -26,7 +26,7 @@ class TestCanonicalClass:
     def test_small_space(self):
         k = canonical_class(5, 2)
         assert k.lam == Coefficient.exact(13)
-        assert all(p == Coefficient.exact(1) for p in k.psi)
+        assert all(k.psi_coefficient(j) == Coefficient.exact(1) for j in k.space.labels)
         assert k.delta_irr == Coefficient.exact(-2)
         assert k.boundary_coefficient(1, set()) == Coefficient.exact(-3)
         assert k.boundary_coefficient(1, {1}) == Coefficient.exact(-2)
@@ -162,7 +162,7 @@ class TestSolveCertificate:
         res = certify(g, n).residual
         assert res.lam.is_zero
         assert res.delta_irr.is_zero
-        assert all(p.is_zero for p in res.psi)
+        assert all(res.psi_coefficient(j).is_zero for j in res.space.labels)
 
     @pytest.mark.parametrize("g,n", sorted(EXPECTED))
     def test_perturbation_soundness(self, g, n):
@@ -218,7 +218,7 @@ class TestSolveCertificate:
 
     def test_psi_sum_is_the_big_class(self):
         cls = DivisorClass(Space(5, 3), psi=1)
-        assert all(p == Coefficient.exact(1) for p in cls.psi)
+        assert all(cls.psi_coefficient(j) == Coefficient.exact(1) for j in cls.space.labels)
         assert cls.lam.is_zero and cls.delta_irr.is_zero and cls.boundary_is_zero
 
     def test_explicit_residual_row_is_reported(self):

@@ -224,6 +224,15 @@ class TestCertifyCatalogErrors:
         self._assert_usage_error(self._certify(runner, tmp_path, json.dumps(doc)),
                                  "catalog", needle)
 
+    @pytest.mark.parametrize("key", ["0_1", "+1", " 1", "01"])
+    def test_non_canonical_psi_key(self, runner, tmp_path, key):
+        # int() reads each key as label 1; the file must not load psi_1 = 7
+        entry = _marked_entry("F12_10", 12, 10)
+        entry["class"]["psi"] = {"1": {"exact": "9"}, key: {"exact": "7"}}
+        result = self._certify(runner, tmp_path, json.dumps({"entries": [entry]}),
+                               g="12", n="10")
+        self._assert_usage_error(result, "catalog", "psi label")
+
     def test_valid_override_still_certifies(self, runner, tmp_path):
         doc = {"entries": [{"name": "BN17", "kind": "marked", "class": {
             "space": {"g": 17, "n": 8}, "lambda": {"exact": "20"},
@@ -286,6 +295,8 @@ PINNED_STDOUT = {
         "fca2514caf1d1817036f6ab4fc1a824b660fefae29ef27b5df9fb5b57e091068",
     "verify grr --t-max 16 --json":
         "d517c1b296312d6460cb828cffb5a005fc4db4c723dc342db692237c70e58983",
+    "verify grr --t-max 24 --json":
+        "2cf89418541aabe26b396edd663c9245dd12f16434b75452da211b4e5b7998ab",
     "certify --g 16 --n 8 --json":
         "947bea505ef6110e6aa80ade498633ce71204c6f9bf3ebf7a5865972288d200d",
     "pullback --preset bn5-to-51 --json":

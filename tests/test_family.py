@@ -96,7 +96,7 @@ class TestQuadClass:
         cls = quad_class(0)
         assert cls.space == family_space(0)
         assert cls.lam == Coefficient.exact(8)
-        assert cls.psi[0] == Coefficient.exact(0)
+        assert cls.psi_coefficient(1) == Coefficient.exact(0)
         assert cls.delta_irr == Coefficient.exact(-1)
         assert cls.boundary_coefficient(1, set()) == Coefficient.exact(-4)
         assert cls.boundary_coefficient(1, {1}) == Coefficient.exact(-4)
@@ -107,7 +107,7 @@ class TestQuadClass:
         for t in (1, 3, 5):
             cls = quad_class(t)
             assert cls.lam == Coefficient.exact(8 - t)
-            assert all(p == Coefficient.exact(t) for p in cls.psi)
+            assert all(cls.psi_coefficient(j) == Coefficient.exact(t) for j in cls.space.labels)
             assert cls.delta_irr == Coefficient.exact(-1)
 
     def test_deep_genus_entries_are_bounds(self):

@@ -546,6 +546,146 @@ class TestPairingPerOrbit:
             assert intersect_test_curve(cls, curve) == member_by_member(cls, curve) == -2
 
 
+def psi_values():
+    """Few distinct values, so that equal labels, ties and equal classes are common."""
+    v = st.integers(-1, 2)
+    return st.one_of(v.map(Coefficient.exact), v.map(Coefficient.exact),
+                     v.map(Coefficient.at_least), st.just(UNKNOWN))
+
+
+@st.composite
+def psi_specs(draw, space):
+    """psi constructor arguments of every shape (one scalar, a sequence of n
+    values, or a dict over a rest, which may list every label), with the
+    per-label reference vector they stand for."""
+    labels = list(space.labels)
+    shape = draw(st.sampled_from(["scalar", "sequence", "dict"]))
+    if shape == "scalar":
+        c = draw(psi_values())
+        return dict(psi=c), [c] * space.n
+    if shape == "sequence":
+        vec = draw(st.lists(psi_values(), min_size=space.n, max_size=space.n))
+        return dict(psi=vec), vec
+    rest = draw(psi_values())
+    listed = draw(st.dictionaries(st.sampled_from(labels), psi_values())) if labels else {}
+    return dict(psi=listed, psi_rest=rest), [listed.get(j, rest) for j in labels]
+
+
+@st.composite
+def respelled(draw, space, vec):
+    """The same psi vector as a dict over another rest: every label that
+    differs from the rest is listed, and a few that do not."""
+    rest = draw(psi_values())
+    extra = draw(st.sets(st.sampled_from(list(space.labels)))) if space.n else set()
+    return dict(psi={j: c for j, c in zip(space.labels, vec) if c != rest or j in extra},
+                psi_rest=rest)
+
+
+def psi_vector(cls):
+    return [cls.psi_coefficient(j) for j in cls.space.labels]
+
+
+def psi_pairing(vec, curve):
+    """The psi part of T_{i:S} . cls, one label at a time."""
+    total = 0
+    for j, c in zip(curve.space.labels, vec):
+        if j not in curve.S:
+            if not c.is_exact:
+                raise InsufficientInformationError(str(c))
+            total += c.value
+    return total
+
+
+# n = 0, n = 1, n = 2 (a tie of two values), and larger n
+PSI_SPACES = [Space(2, 0), Space(3, 1), Space(2, 2), Space(5, 3), Space(4, 4)]
+
+
+class TestPsiLayers:
+    """psi is a rest plus the labels that differ; every operation must agree
+    with the per-label vector it stands for."""
+
+    @pytest.mark.parametrize("space", PSI_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_layers_match_the_vector(self, space, data):
+        spec, vec = data.draw(psi_specs(space))
+        cls = DivisorClass(space, **spec)
+        assert psi_vector(cls) == vec
+        assert cls.psi_symmetric == (len(set(vec)) <= 1)
+        # normal form: no listed value equals the rest, and some label carries the rest
+        assert all(c != cls.psi_rest for _, c in cls.psi_items())
+        assert len(cls.psi_items()) < space.n or space.n == 0
+
+    @pytest.mark.parametrize("space", PSI_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_arithmetic_matches_the_vector(self, space, data):
+        (spec_a, vec_a), (spec_b, vec_b) = data.draw(psi_specs(space)), data.draw(psi_specs(space))
+        a, b = DivisorClass(space, **spec_a), DivisorClass(space, **spec_b)
+        assert psi_vector(a.add(b)) == [x + y for x, y in zip(vec_a, vec_b)]
+        k = data.draw(st.sampled_from([0, -1, 2, Fraction(-1, 2)]))
+        assert psi_vector(a.scale(k)) == [x.scaled(k) for x in vec_a]
+
+    @pytest.mark.parametrize("space", PSI_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equality_and_hash_match_the_vector(self, space, data):
+        spec_a, vec_a = data.draw(psi_specs(space))
+        a = DivisorClass(space, **spec_a)
+        same = DivisorClass(space, **data.draw(respelled(space, vec_a)))
+        assert a == same and same == a
+        assert hash(a) == hash(same)
+        spec_b, vec_b = data.draw(psi_specs(space))
+        b = DivisorClass(space, **spec_b)
+        assert (a == b) == (b == a) == (vec_a == vec_b)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("space", PSI_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_pairing_matches_the_vector(self, space, data):
+        spec, vec = data.draw(psi_specs(space))
+        cls = DivisorClass(space, **spec)  # zero boundary: the pairing is its psi part
+        for curve in every_test_curve(space):
+            assert (outcome(intersect_test_curve, cls, curve)
+                    == outcome(lambda _, c: psi_pairing(vec, c), cls, curve)), curve
+
+    def test_tie_of_two_values_stores_either_rest(self):
+        space = Space(2, 2)
+        folded = DivisorClass(space, psi=[1, 2])
+        other = DivisorClass(space, psi={1: 1}, psi_rest=2)
+        assert folded.psi_rest != other.psi_rest
+        assert folded == other and hash(folded) == hash(other)
+        assert folded != DivisorClass(space, psi={1: 2}, psi_rest=1)
+
+    def test_dict_listing_every_label_folds_to_the_most_common_value(self):
+        cls = DivisorClass(SPACE_53, psi={1: 3, 2: 3, 3: 5}, psi_rest=7)
+        assert cls.psi_rest == Coefficient.exact(3)
+        assert cls.psi_items() == [(3, Coefficient.exact(5))]
+        by_other_rest = DivisorClass(SPACE_53, psi={1: 3, 2: 3}, psi_rest=5)
+        assert by_other_rest.psi_rest == Coefficient.exact(5)
+        assert cls == by_other_rest and hash(cls) == hash(by_other_rest)
+
+    def test_pairing_reads_the_rest_only_for_unlisted_labels(self):
+        # every label outside S = {1} is listed, so the Unknown rest is never read
+        cls = DivisorClass(SPACE_53, psi={2: 4, 3: 5}, psi_rest=UNKNOWN)
+        assert intersect_test_curve(cls, Pencil(SPACE_53, 1, {1})) == 9
+        with pytest.raises(InsufficientInformationError):
+            intersect_test_curve(cls, Pencil(SPACE_53, 1, {2}))
+
+    @pytest.mark.parametrize("label", [0, -1, 4, True, "1"])
+    def test_label_outside_range_rejected(self, label):
+        cls = DivisorClass(SPACE_53, psi={1: 1, 2: 2, 3: 3})
+        with pytest.raises(ValueError, match="psi label"):
+            cls.psi_coefficient(label)
+
+    @pytest.mark.parametrize("psi", [{1: 2, 7: 5}, {0: 1}, {-1: 1}])
+    def test_constructor_rejects_foreign_labels(self, psi):
+        with pytest.raises(ValueError, match="psi label"):
+            DivisorClass(SPACE_53, psi=psi)
+
+
 class TestSerialization:
     def test_round_trip(self):
         cls = DivisorClass(
@@ -623,6 +763,27 @@ class TestSerialization:
         doc["lambda"] = c
         with pytest.raises(MalformedClassError, match="bad coefficient value"):
             class_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["0_1", "+1", " 1", "01", "1 ", "0", "4", "١"])
+    def test_non_canonical_psi_key_rejected(self, key):
+        # int() reads each of these; only str(j) for a label j in 1..n names a label
+        doc = class_to_dict(DivisorClass(SPACE_53))
+        doc["psi"] = {"1": {"exact": "2"}, key: {"exact": "7"}}
+        with pytest.raises(MalformedClassError, match="psi label"):
+            class_from_dict(doc)
+
+    @pytest.mark.parametrize("psi", [[{"exact": "2"}], 2, "1"])
+    def test_psi_not_an_object_rejected(self, psi):
+        doc = class_to_dict(DivisorClass(SPACE_53))
+        doc["psi"] = psi
+        with pytest.raises(MalformedClassError, match="psi must be a JSON object"):
+            class_from_dict(doc)
+
+    def test_canonical_psi_keys_accepted(self):
+        doc = class_to_dict(DivisorClass(SPACE_53))
+        doc["psi"] = {"1": {"exact": "2"}, "3": {"exact": "7"}}
+        cls = class_from_dict(doc)
+        assert psi_vector(cls) == [Coefficient.exact(v) for v in (2, 0, 7)]
 
     def test_malformed_document(self):
         with pytest.raises(MalformedClassError):
