@@ -218,6 +218,8 @@ def _residual_status(c: Coefficient) -> str:
         return "nonnegative" if c.value > 0 else "negative"
     if c.kind == "at_least" and c.value >= 0:
         return "nonnegative"
+    if c.kind == "at_most" and c.value < 0:
+        return "negative"
     return "unknown"
 
 

@@ -31,6 +31,7 @@ from .picard import (
     boundary_orbits,
     intersect_test_curve,
 )
+from .pullbacks import pic12_reduce
 
 
 def _ordered(*xs) -> bool:
@@ -248,8 +249,6 @@ def b_from_pic12(t):
     solution is (t+4, 4).  The matrix does not depend on t, so its exact
     inverse is applied to the right side whether t is a number or a Poly.
     """
-    from .pullbacks import pic12_reduce
-
     const_lam, const_del = pic12_reduce({"lambda": 8 - t, "psi_p": t, "delta_irr": -1})
     col_b10 = pic12_reduce({"delta_0": -1})
     col_b11 = pic12_reduce({"psi_q": 1})

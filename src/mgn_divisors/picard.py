@@ -10,16 +10,16 @@ There is one class type for every n >= 0.  A class on the unmarked space is a
 DivisorClass on Space(g, 0): lambda, delta_irr (the delta_0 of the
 literature) and delta_i as the (i, 0) orbit for 1 <= i <= g/2.
 
-Boundary data is stored in three layers, each overriding the one before: a
-rest coefficient shared by every boundary divisor, per-orbit entries keyed by
-canonical (i, |S|), and explicit per-index entries.  psi is stored the same
-way in two layers: a rest coefficient shared by every label, and the labels
-whose coefficient differs from it.  The symmetric layers are what make large
-spaces (n up to 153 in the benchmark sweep, 861 at t = 40) tractable: every
-class this package constructs is label-symmetric on the boundary, most share
-one coefficient on all but a few orbits, and most have one psi coefficient at
-every label, so arithmetic costs O(listed orbits + explicit entries + psi
-exceptions), not O(all orbits) or O(n).
+Every family of coefficients is stored as a layer: one rest coefficient
+shared by all its keys, plus the keys whose coefficient differs from it.  psi
+is one layer over the labels 1..n.  The boundary is one layer over the
+canonical (i, |S|) orbits, and each orbit is itself a layer over its member
+indices, with the orbit's value as the rest.  One rule compares two layers
+and one rule adds them, at every level.  This is what makes large spaces
+(n up to 153 in the benchmark sweep, 861 at t = 40) tractable: every class
+this package constructs has one psi coefficient and is label-symmetric on the
+boundary, and most share one coefficient on all but a few orbits, so
+arithmetic costs O(listed keys), not O(all orbits) or O(n).
 """
 
 from __future__ import annotations
@@ -286,24 +286,45 @@ def _check_label(space: Space, j) -> None:
         raise ValueError(f"psi label {j!r} outside 1..{space.n}")
 
 
+def _layers_agree(a_rest, a: dict, b_rest, b: dict, size,
+                  agree=lambda key, x, y: x == y) -> bool:
+    """Whether two layers over size() keys agree at every key.  A layer reads
+    its entry where it lists the key and its rest elsewhere.  Only the listed
+    keys are read, so the two rests may differ only when the keys listed by
+    either layer cover all size() keys; size is called only then, since an
+    orbit's size is a binomial.  `agree(key, x, y)` compares the two values at
+    one key."""
+    keys = a.keys() | b.keys()
+    if a_rest != b_rest and len(keys) < size():
+        return False
+    for k in keys:
+        if not agree(k, a.get(k, a_rest), b.get(k, b_rest)):
+            return False
+    return True
+
+
+def _layer_sum(a_rest, a: dict, b_rest, b: dict):
+    """The (rest, entries) layer whose value at every key is the sum of two
+    layers' values there; it lists the keys that either layer lists."""
+    return a_rest + b_rest, {k: a.get(k, a_rest) + b.get(k, b_rest) for k in a.keys() | b.keys()}
+
+
 class DivisorClass:
     """Immutable linear combination of the standard Picard generators.
 
-    The coefficient of psi_j is read from two layers: `psi_rest`, shared by
-    every label (default Exact(0)), and the labels that `psi` lists.  `psi`
-    may also be one scalar (every label) or a sequence of n values.  When
-    every label is listed, the rest becomes the most common listed value.
+    Each family of coefficients is a layer: a rest shared by every key, plus
+    the keys whose value differs from it.  psi is a layer over the labels:
+    `psi_rest` (default Exact(0)) plus the labels that `psi` lists; `psi` may
+    also be one scalar (every label) or a sequence of n values, and when every
+    label is listed the rest becomes the most common listed value.  The
+    boundary is a layer over canonical orbits: `boundary_rest` (default
+    Exact(0)) plus the `boundary_sym` (i, s) entries.  Each orbit is a layer
+    over its member indices: the orbit's value plus the `boundary` entries in
+    it, stored under their orbit.
 
-    The boundary coefficient of delta_{i:S} is read from three layers, each
-    overriding the one before: `boundary_rest`, shared by every boundary
-    divisor (default Exact(0)); `boundary_sym`, per-orbit (i, s) entries; and
-    `boundary`, explicit per-index entries.
-
-    The stored form is normal: a psi entry equal to the psi rest, an orbit
-    entry equal to the boundary rest, or an explicit entry equal to its
-    orbit's value, is dropped.  All arithmetic is generator-wise Coefficient
-    arithmetic and costs O(psi exceptions + listed orbits + explicit entries),
-    independent of n.
+    The stored form is normal: an entry equal to its layer's rest is dropped.
+    All arithmetic is generator-wise Coefficient arithmetic and costs
+    O(listed keys), independent of n.
     """
 
     __slots__ = ("space", "lam", "delta_irr", "_psi", "_psi_rest",
@@ -339,7 +360,9 @@ class DivisorClass:
         rest = coeff(boundary_rest)
         orbits = {}
         for key, c in (boundary_sym or {}).items():
-            key = (int(key[0]), int(key[1]))
+            if not (type(key) is tuple and len(key) == 2
+                    and type(key[0]) is int and type(key[1]) is int):
+                raise ValueError(f"boundary_sym key {key!r} is not a pair of ints")
             if not is_orbit(space, *key):
                 raise UnstableIndexError(f"no canonical boundary orbit {key} on {space}")
             c = coeff(c)
@@ -352,15 +375,15 @@ class DivisorClass:
                 idx = canonical_index(space, key.i, key.S)
             else:
                 idx = canonical_index(space, key[0], key[1])
+            members = explicit.setdefault((idx.i, idx.s), {})
             c = coeff(c)
-            if idx in explicit:
-                c = explicit[idx] + c
-            explicit[idx] = c
-        # drop explicit entries that agree with their orbit's value
-        for idx in list(explicit):
-            if explicit[idx] == orbits.get((idx.i, idx.s), rest):
-                del explicit[idx]
-        self._explicit = explicit
+            members[idx] = members[idx] + c if idx in members else c
+        self._explicit = {}
+        for key, members in explicit.items():
+            value = orbits.get(key, rest)
+            kept = {idx: c for idx, c in members.items() if c != value}
+            if kept:
+                self._explicit[key] = kept
         self._orbits = orbits
         self._rest = rest
 
@@ -374,12 +397,16 @@ class DivisorClass:
 
     def boundary_coefficient(self, i: int, S) -> Coefficient:
         idx = canonical_index(self.space, i, frozenset(S))
-        if idx in self._explicit:
-            return self._explicit[idx]
-        return self._orbits.get((idx.i, idx.s), self._rest)
+        value, members = self._orbit_layer((idx.i, idx.s))
+        return members.get(idx, value)
+
+    def _orbit_layer(self, key):
+        """The member layer of orbit `key`: its value and its explicit members."""
+        return self._orbits.get(key, self._rest), self._explicit.get(key, {})
 
     def boundary_items(self):
-        return sorted(self._explicit.items(), key=lambda kv: kv[0].sort_key())
+        items = [item for members in self._explicit.values() for item in members.items()]
+        return sorted(items, key=lambda kv: kv[0].sort_key())
 
     def boundary_orbit_items(self):
         """Sorted (i, s) -> coefficient pairs of every non-zero orbit."""
@@ -420,24 +447,20 @@ class DivisorClass:
 
     def add(self, other: "DivisorClass") -> "DivisorClass":
         self._require_same_space(other)
-        orbits = {}
-        for key in set(self._orbits) | set(other._orbits):
-            orbits[key] = (self._orbits.get(key, self._rest)
-                           + other._orbits.get(key, other._rest))
+        psi_rest, psi = _layer_sum(self._psi_rest, self._psi, other._psi_rest, other._psi)
+        rest, orbits = _layer_sum(self._rest, self._orbits, other._rest, other._orbits)
         explicit = {}
-        for idx in set(self._explicit) | set(other._explicit):
-            explicit[idx] = self.boundary_coefficient(idx.i, idx.S) + other.boundary_coefficient(idx.i, idx.S)
-        psi = {j: self._psi.get(j, self._psi_rest) + other._psi.get(j, other._psi_rest)
-               for j in self._psi.keys() | other._psi.keys()}
+        for key in self._explicit.keys() | other._explicit.keys():
+            explicit.update(_layer_sum(*self._orbit_layer(key), *other._orbit_layer(key))[1])
         return DivisorClass(
             self.space,
             lam=self.lam + other.lam,
             psi=psi,
-            psi_rest=self._psi_rest + other._psi_rest,
+            psi_rest=psi_rest,
             delta_irr=self.delta_irr + other.delta_irr,
             boundary=explicit,
             boundary_sym=orbits,
-            boundary_rest=self._rest + other._rest,
+            boundary_rest=rest,
         )
 
     def scale(self, c: Scalar) -> "DivisorClass":
@@ -448,7 +471,8 @@ class DivisorClass:
             psi={j: p.scaled(c) for j, p in self._psi.items()},
             psi_rest=self._psi_rest.scaled(c),
             delta_irr=self.delta_irr.scaled(c),
-            boundary={idx: v.scaled(c) for idx, v in self._explicit.items()},
+            boundary={idx: v.scaled(c) for members in self._explicit.values()
+                      for idx, v in members.items()},
             boundary_sym={k: v.scaled(c) for k, v in self._orbits.items()},
             boundary_rest=self._rest.scaled(c),
         )
@@ -467,52 +491,30 @@ class DivisorClass:
             return False
         if (self.lam, self.delta_irr) != (other.lam, other.delta_irr):
             return False
-        return self._psi_equal(other) and self._boundary_equal(other)
-
-    def _psi_equal(self, other: "DivisorClass") -> bool:
-        """Whether every psi coefficient agrees, reading only listed labels:
-        the two rests may differ only when the labels listed by either class
-        cover every label."""
-        labels = self._psi.keys() | other._psi.keys()
-        if self._psi_rest != other._psi_rest and len(labels) < self.space.n:
-            return False
-        return all(self._psi.get(j, self._psi_rest) == other._psi.get(j, other._psi_rest)
-                   for j in labels)
+        return (_layers_agree(self._psi_rest, self._psi, other._psi_rest, other._psi,
+                              lambda: self.space.n)
+                and self._boundary_equal(other))
 
     def _boundary_equal(self, other: "DivisorClass") -> bool:
-        """Whether every boundary coefficient agrees, without enumerating orbits
-        or their members: only listed orbits and explicit entries can differ
-        from the rest, and only a fully overridden orbit can hide a difference."""
-        explicit = set(self._explicit) | set(other._explicit)
-        overridden = {}
-        for idx in explicit:
-            key = (idx.i, idx.s)
-            overridden[key] = overridden.get(key, 0) + 1
-        keys = set(self._orbits) | set(other._orbits)
-        if self._rest != other._rest:
-            # an orbit that neither class lists or overrides tells them apart
-            keys |= overridden.keys()
-            if len(keys) < orbit_count(self.space):
-                return False
-        for key in keys:
-            if self._orbits.get(key, self._rest) != other._orbits.get(key, other._rest):
-                # the orbit values differ, so an index that neither class
-                # overrides tells them apart; only a fully overridden orbit agrees
-                if overridden.get(key, 0) < orbit_size(self.space, *key):
-                    return False
-        for idx in explicit:
-            if self.boundary_coefficient(idx.i, idx.S) != other.boundary_coefficient(idx.i, idx.S):
-                return False
-        return True
+        """Whether every boundary coefficient agrees: the layer rule over
+        orbits, and within each orbit over its members."""
+        space = self.space
+
+        def listed_orbits(cls):
+            # an orbit with explicit members is listed too, at its value
+            return {**dict.fromkeys(cls._explicit, cls._rest), **cls._orbits}
+
+        def orbit_agrees(key, a_value, b_value):
+            return _layers_agree(a_value, self._explicit.get(key, {}), b_value,
+                                 other._explicit.get(key, {}), lambda: orbit_size(space, *key))
+
+        return _layers_agree(self._rest, listed_orbits(self), other._rest, listed_orbits(other),
+                             lambda: orbit_count(space), orbit_agrees)
 
     def __hash__(self):
-        # equal classes may store different psi rests; the multiset of psi
-        # values does not depend on which one
-        counts = {self._psi_rest: self.space.n - len(self._psi)}
-        for c in self._psi.values():
-            counts[c] = counts.get(c, 0) + 1
-        psi = frozenset(item for item in counts.items() if item[1])
-        return hash((self.space, self.lam, psi, self.delta_irr))
+        # equal classes may store different psi rests or boundary layers;
+        # these three fields they always share
+        return hash((self.space, self.lam, self.delta_irr))
 
     def __repr__(self):
         parts = []
@@ -574,18 +576,12 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Fraction:
     and the n-s-k other labels outside S add the psi rest, which is read only
     when that count is not zero.
 
-    The boundary is read per orbit, not member by member.  The n-s divisors
-    delta_{i:S+{j}} lie in one canonical orbit, (i, s+1) or its mirror
-    (g-i, n-s-1) when i > g/2; at i = g/2 they split in two by whether label 1
-    is in S+{j}.  Each orbit adds (members not overridden) x (its value), and
-    a walk over the explicit entries adds the value of each member that an
-    entry overrides (an entry is the canonical form of (i, T) exactly when it
-    equals (i, T) or the mirror (g-i, T complement); on an unmarked space at
-    i = g/2 the two are one index, counted once).  delta_{i:S} is read the
-    same way, as a term with one member.  An orbit value is read only when
-    some member of it is not overridden, so this requires Exact of exactly the
-    coefficients that the member-by-member sum reads, and the boundary costs
-    O(1 + explicit entries) steps instead of one canonical_index per member.
+    The boundary is read per orbit.  The n-s divisors delta_{i:S+{j}} lie in
+    one canonical orbit, (i, s+1) or its mirror (g-i, n-s-1) when i > g/2; at
+    i = g/2 they split in two by whether label 1 is in S+{j}.  delta_{i:S} is
+    one member of one orbit.  For each orbit met, a walk over its explicit
+    members adds those the curve meets, and the members not listed add the
+    orbit value, read only when there are any.
     """
     if cls.space != curve.space:
         raise SpaceMismatchError(f"{cls.space} vs {curve.space}")
@@ -625,25 +621,25 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Fraction:
             moving[key] = moving.get(key, 0) + count
     mult = -(2 * (g - i) - 2 + n - s)
     terms = [(1, s + 1, moving), (mult, s, {orbit(s, 1 in S): 1})]
+    # on an unmarked space at i = g/2 an index is its own mirror: count it once
     mirror_is_other = n > 0 or 2 * i != g
 
-    for weight, size, members in terms:
+    for weight, size, counts in terms:
         if not weight:
             continue
         part = 0
-        overridden = dict.fromkeys(members, 0)
-        for idx, c in cls._explicit.items():
-            hits = ((idx.i == i and len(idx.S) == size and S <= idx.S)
-                    + (mirror_is_other and idx.i == g - i and len(idx.S) == n - size
-                       and S.isdisjoint(idx.S)))
-            if hits:
-                part += hits * exact_value(c, repr(idx))
-                overridden[(idx.i, idx.s)] += hits
-        for key, count in members.items():
-            if count > overridden[key]:
-                value = exact_value(cls.orbit_coefficient(*key),
-                                    f"delta_{{{key[0]}:|S|={key[1]}}}")
-                part += (count - overridden[key]) * value
+        for key, count in counts.items():
+            value, listed = cls._orbit_layer(key)
+            for idx, c in listed.items():
+                # idx is the canonical form of (i, T) when it equals it or its mirror
+                hits = ((idx.i == i and len(idx.S) == size and S <= idx.S)
+                        + (mirror_is_other and idx.i == g - i and len(idx.S) == n - size
+                           and S.isdisjoint(idx.S)))
+                if hits:
+                    part += hits * exact_value(c, repr(idx))
+                    count -= hits
+            if count:
+                part += count * exact_value(value, f"delta_{{{key[0]}:|S|={key[1]}}}")
         total += weight * part
     return total
 

@@ -221,6 +221,25 @@ class TestSolveCertificate:
         assert all(cls.psi_coefficient(j) == Coefficient.exact(1) for j in cls.space.labels)
         assert cls.lam.is_zero and cls.delta_irr.is_zero and cls.boundary_is_zero
 
+    @pytest.mark.parametrize("orbit_value,status", [
+        (Coefficient.at_least(1), "negative"),      # -2 - 2 * (>=1) is <=-4
+        (Coefficient.at_least(-1), "unknown"),      # <=0: zero or negative
+        (Coefficient.at_least(-3), "unknown"),      # <=4
+        (Coefficient.at_most(-2), "nonnegative"),   # >=2
+        (Coefficient.exact(-1), "zero"),
+    ])
+    def test_bounded_residual_status(self, orbit_value, status):
+        """A bounded residual reads the status that its bound proves."""
+        space = Space(5, 2)
+        components = [
+            ("lam", DivisorClass(space, lam=1)),
+            ("irr", DivisorClass(space, delta_irr=-1, boundary_sym={(1, 1): orbit_value})),
+        ]
+        cert = solve_certificate(space, components)
+        assert (cert.a, [c for _, c in cert.components]) == (1, [13, 2])
+        # K is -2 on the (1, 1) orbit and the irr component has coefficient 2
+        assert ("orbit", (1, 1), status) in cert.residual_report
+
     def test_explicit_residual_row_is_reported(self):
         """A residual entry on one index, not a whole orbit, is a row of its own:
         the report lists it after the orbit rows, and to_json shows it."""

@@ -155,6 +155,27 @@ class TestCertify:
         assert doc["a"] == "59/4415"
         assert doc["residual"]["boundary"][-1] == {"i": 1, "S": [1], "status": "negative"}
 
+    def test_bounded_residual_reads_negative(self, runner, tmp_path):
+        """A residual known only as <= v with v < 0 is negative: at (0, 2) the
+        residual is -2 - (484/4415) * (>=40), and D12 pulls back to 0 there."""
+        d12 = {"space": {"g": 12, "n": 0}, "lambda": {"exact": "13245"},
+               "delta_irr": {"exact": "-1926"},
+               "boundary_sym": [{"i": i, "s": 0, "c": {"exact": "-1000"}} for i in range(1, 7)]}
+        f12 = {"space": {"g": 12, "n": 10}, "lambda": {"exact": "0"},
+               "psi": {str(j): {"exact": "9"} for j in range(1, 11)},
+               "delta_irr": {"exact": "-1"},
+               "boundary_sym": [{"i": 0, "s": 2, "c": {"at_least": "40"}}]}
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"entries": [{"name": "D12", "class": d12},
+                                                {"name": "F12_10", "class": f12}]}))
+        args = ["certify", "--g", "12", "--n", "10", "--catalog", str(path)]
+        text = runner.invoke(main, args)
+        assert text.exit_code == 0
+        assert "  c[F12_10] = 484/4415" in text.output.splitlines()
+        assert "  residual delta[0:|S|=2]: negative" in text.output.splitlines()
+        doc = json.loads(runner.invoke(main, [*args, "--json"]).output)
+        assert {"i": 0, "s": 2, "status": "negative"} in doc["residual"]["boundary"]
+
     def test_byte_stable(self, runner):
         a = runner.invoke(main, ["certify", "--g", "17", "--n", "8", "--json"]).output
         b = runner.invoke(main, ["certify", "--g", "17", "--n", "8", "--json"]).output

@@ -242,12 +242,20 @@ class TestDivisorClass:
         partial = DivisorClass(SPACE_53, boundary={m: 2 for m in members[:2]})
         off_by_one = DivisorClass(SPACE_53, boundary={m: 2 + (m == members[2]) for m in members})
         assert via_orbit == covered and covered == via_orbit
+        assert hash(via_orbit) == hash(covered)
         assert via_orbit != partial and partial != via_orbit
         assert via_orbit != off_by_one and off_by_one != via_orbit
         # overrides on both sides may cover the orbit together
         split = DivisorClass(SPACE_53, boundary_sym={(1, 1): 2}, boundary={members[0]: 0})
         other = DivisorClass(SPACE_53, boundary={members[1]: 2, members[2]: 2})
-        assert split == other and other == split
+        assert split == other and other == split and hash(split) == hash(other)
+
+    @pytest.mark.parametrize("key", [(1.9, 2), ("1", True), (1, True), (Fraction(1), 2),
+                                     (1.0, 2), (1, "2"), (1, 2, 3)], ids=repr)
+    def test_boundary_sym_key_must_be_ints(self, key):
+        # int() would read (1.9, 2) as orbit (1, 2) and ("1", True) as (1, 1)
+        with pytest.raises(ValueError, match="boundary_sym key"):
+            DivisorClass(SPACE_53, boundary_sym={key: 7})
 
     @given(simple_classes(SPACE_53), simple_classes(SPACE_53))
     @settings(max_examples=40)
