@@ -43,6 +43,7 @@ from .pullbacks import ClutchingMap, TailAttachment, clutch_pullback, forgetful_
 from .certificates import (
     Certificate,
     CertificateError,
+    bn_class,
     canonical_class,
     perturbation_sound,
     solve_certificate,
@@ -71,6 +72,7 @@ __all__ = [
     "b1",
     "b_from_pic12",
     "balanced_pairs",
+    "bn_class",
     "c1_pushforward",
     "canonical_class",
     "canonical_index",

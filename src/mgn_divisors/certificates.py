@@ -18,8 +18,10 @@ A certificate expresses the canonical class as
 with the D_k known effective classes.  The linear algebra (three equations:
 lambda, the single psi equation by symmetry, delta_irr) is solved exactly;
 whether the residual E is effective on each boundary generator is *reported*
-per orbit and per explicit index, never silently asserted, because the
-catalog inputs only pin the interior part.
+per orbit and per explicit index, never silently asserted, because some
+catalog inputs only pin the interior part.  The Brill-Noether entries (BN5_3,
+BN17) come from one formula, bn_class, and are exact on the boundary; Z16,
+D12 and F12_10 are published interior data with an Unknown boundary.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .exact import LinearSystem, rat_str, solve_linear
 from .grr import c1_pushforward, total_boundary, uniform_bundle
@@ -43,6 +46,7 @@ from .picard import (
     class_from_dict,
     class_to_dict,
 )
+from .pullbacks import forgetful_pullback
 
 
 class CertificateError(Exception):
@@ -81,6 +85,25 @@ def canonical_class(g: int, n: int) -> DivisorClass:
             .add(DivisorClass(space, boundary_sym={(elliptic_tail.i, elliptic_tail.s): -1})))
 
 
+def bn_class(g: int) -> DivisorClass:
+    """The Brill-Noether class on the unmarked space M_g, for g + 1 composite.
+
+    Eisenbud-Harris (Invent. Math. 90, 1987): when g + 1 = (r+1)(g-d+r) the
+    curves with a g^r_d form a divisor, and its class is a positive multiple of
+
+        (g+3) lambda - (g+1)/6 delta_irr - sum_{1 <= i <= g/2} i(g-i) delta_i,
+
+    the same for every such (r, d).  When g + 1 is prime no (r, d) gives
+    Brill-Noether number -1, there is no such divisor, and ValueError is
+    raised.
+    """
+    space = Space(g, 0)
+    if all((g + 1) % p for p in range(2, isqrt(g + 1) + 1)):
+        raise ValueError(f"g + 1 = {g + 1} is prime: there is no Brill-Noether divisor")
+    return DivisorClass(space, lam=g + 3, delta_irr=-Fraction(g + 1, 6),
+                        boundary_sym={(i, 0): -i * (g - i) for i in range(1, g // 2 + 1)})
+
+
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -96,29 +119,27 @@ def _builtin_catalog() -> dict:
     entries = [
         CatalogEntry(
             "BN5_3",
-            DivisorClass(Space(5, 0), lam=8, delta_irr=-1,
-                         boundary_sym={(1, 0): -4, (2, 0): -6}),
-            "genus-5 trigonal (quadric) divisor; all coefficients classical",
+            bn_class(5),
+            "genus-5 Brill-Noether (trigonal) divisor; every coefficient from the "
+            "Eisenbud-Harris formula, bn_class(5)",
         ),
         CatalogEntry(
             "Z16",
             DivisorClass(Space(16, 0), lam=407, delta_irr=-61, boundary_rest=UNKNOWN),
-            "genus-16 quadric-failure divisor for a degree-21 series; boundary tail unpublished",
+            "genus-16 quadric-failure divisor for a degree-21 series; published "
+            "interior, boundary tail unpublished",
         ),
         CatalogEntry(
             "D12",
             DivisorClass(Space(12, 0), lam=13245, delta_irr=-1926, boundary_rest=UNKNOWN),
-            "genus-12 quadric-failure divisor for a degree-14 series; boundary tail unpublished",
+            "genus-12 quadric-failure divisor for a degree-14 series; published "
+            "interior, boundary tail unpublished",
         ),
         CatalogEntry(
             "BN17",
-            DivisorClass(
-                Space(17, 8),
-                lam=20,
-                delta_irr=-3,
-                boundary_rest=UNKNOWN,
-            ),
-            "Brill-Noether divisor pulled back to the 8-pointed genus-17 space",
+            forgetful_pullback(bn_class(17), 8),
+            "genus-17 Brill-Noether divisor pulled back to the 8-pointed space; every "
+            "coefficient from the Eisenbud-Harris formula, bn_class(17)",
         ),
         CatalogEntry(
             "F12_10",
@@ -128,7 +149,8 @@ def _builtin_catalog() -> dict:
                 delta_irr=-1,
                 boundary_rest=UNKNOWN,
             ),
-            "degree-11 pencils with the 10 points in a fiber; boundary tail unpublished",
+            "degree-11 pencils with the 10 points in a fiber; published interior, "
+            "boundary tail unpublished",
         ),
     ]
     return {e.name: e for e in entries}

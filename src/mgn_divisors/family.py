@@ -123,7 +123,10 @@ def quad_class(t: int) -> DivisorClass:
     canonicalization).  Entries with 2 <= i <= g/2 are only bounded: the
     subtracted multiplicity is >= 1, stored as the boundary rest AtMost(-1).
     The t=0 class is the pullback of the classical genus-5 Brill-Noether
-    divisor and is fully known, so its i=2 entries are Exact(-6).
+    divisor and is fully known, so its i=2 entries are Exact(-6).  That rest
+    is typed here on purpose, not read from bn_class(5): it is the independent
+    value that check_pullbacks compares with the forgetful pullback of
+    bn_class(5).
     """
     space = family_space(t)
     sym = {}

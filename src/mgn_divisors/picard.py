@@ -162,6 +162,8 @@ class Space:
     n: int
 
     def __post_init__(self):
+        if type(self.g) is not int or type(self.n) is not int:
+            raise ValueError(f"g and n must be ints, got (g={self.g!r}, n={self.n!r})")
         if self.g < 2 or self.n < 0:
             raise ValueError(f"unsupported space (g={self.g}, n={self.n})")
         if 3 * self.g - 3 + self.n <= 0:
@@ -203,12 +205,18 @@ def canonical_index(space: Space, i: int, S) -> BoundaryIndex:
     delta_{g/2:S} normalization, this is the convention used throughout this
     package).  On an unmarked space delta_{g/2:{}} is its own mirror and is
     its own representative.  Idempotent.
+
+    A genus index or label that is not an int raises ValueError; one out of
+    range, or an unstable split, raises UnstableIndexError.  The cost is
+    O(|S|), plus O(n) for the complement when the representative is the
+    mirror.
     """
     g, n = space.g, space.n
     S = frozenset(S)
+    _check_index_types(i, S)
     if not 0 <= i <= g:
         raise UnstableIndexError(f"genus index {i} outside 0..{g}")
-    if not S <= set(space.labels):
+    if not all(1 <= j <= n for j in S):
         raise UnstableIndexError(f"labels {sorted(S)} outside 1..{n}")
     if not _stable_split(g, n, i, len(S)):
         raise UnstableIndexError(
@@ -219,6 +227,16 @@ def canonical_index(space: Space, i: int, S) -> BoundaryIndex:
     if 2 * i == g and 1 not in S:
         return BoundaryIndex(i, frozenset(space.labels) - S)
     return BoundaryIndex(i, S)
+
+
+def _check_index_types(i, S) -> None:
+    """A genus index and its labels must be ints: a float or a bool would be
+    stored and printed as given, and its serialized form would not load."""
+    if type(i) is not int:
+        raise ValueError(f"genus index {i!r} is not an int")
+    for j in S:
+        if type(j) is not int:
+            raise ValueError(f"label {j!r} is not an int")
 
 
 def _split_by_label_1(space: Space, i: int) -> bool:
@@ -547,9 +565,10 @@ class TestCurve:
 
     def __init__(self, space: Space, i: int, S):
         S = frozenset(S)
+        _check_index_types(i, S)
         if not 0 <= i <= space.g:
             raise ValueError(f"genus index {i} outside 0..{space.g}")
-        if not S <= set(space.labels):
+        if not all(1 <= j <= space.n for j in S):
             raise ValueError("test-curve labels outside the marked set")
         if not _stable_split(space.g, space.n, i, len(S)):
             raise ValueError(

@@ -8,6 +8,7 @@ from mgn_divisors.certificates import (
     InfeasibleCertificateError,
     NegativeCoefficientError,
     UnderdeterminedCertificateError,
+    bn_class,
     canonical_class,
     catalog_dump,
     catalog_get,
@@ -17,9 +18,10 @@ from mgn_divisors.certificates import (
     solve_certificate,
 )
 from mgn_divisors.picard import (
-    Coefficient, DivisorClass, MalformedClassError, Space, UNKNOWN, boundary_orbits,
-    class_to_dict, serialize)
+    Coefficient, DivisorClass, MalformedClassError, Space, TestCurve as Pencil, UNKNOWN, boundary_orbits,
+    class_to_dict, intersect_test_curve, serialize)
 from mgn_divisors.presets import certificate_components, certify
+from mgn_divisors.pullbacks import forgetful_pullback, pic12_reduce
 
 
 class TestCanonicalClass:
@@ -67,6 +69,48 @@ class TestCanonicalClass:
         assert serialize(k) == serialize(written_out)
 
 
+class TestBrillNoetherClass:
+    # every g with g + 1 <= 60 composite
+    COMPOSITE = [g for g in range(2, 60) if any((g + 1) % p == 0 for p in range(2, g + 1))]
+
+    def test_genus_5_is_the_classical_divisor(self):
+        # the values BN5_3 was typed with: 8 lambda - delta_irr - 4 delta_1 - 6 delta_2
+        typed = DivisorClass(Space(5, 0), lam=8, delta_irr=-1,
+                             boundary_sym={(1, 0): -4, (2, 0): -6})
+        assert bn_class(5) == typed
+        assert serialize(bn_class(5)) == serialize(typed)
+
+    def test_coefficients(self):
+        cls = bn_class(17)
+        assert cls.space == Space(17, 0)
+        assert cls.lam == Coefficient.exact(20)
+        assert cls.delta_irr == Coefficient.exact(-3)
+        assert [cls.boundary_coefficient(i, ()) for i in range(1, 9)] == [
+            Coefficient.exact(-i * (17 - i)) for i in range(1, 9)]
+        assert bn_class(3).delta_irr == Coefficient.exact(Fraction(-2, 3))
+
+    @pytest.mark.parametrize("g", [2, 4, 6, 10, 12, 16])
+    def test_prime_g_plus_1_has_no_divisor(self, g):
+        with pytest.raises(ValueError, match="prime"):
+            bn_class(g)
+
+    def test_pairs_to_zero_with_the_plane_cubic_pencil(self):
+        """A pencil of plane cubics glued to a fixed genus-(g-1) curve at a base
+        point moves in delta_1 with (lambda, delta_irr, delta_1) = (1, 12, -1);
+        a divisor not containing delta_1 pairs with it to >= 0, and the
+        Brill-Noether class pairs to exactly (g+3) - 2(g+1) + (g-1) = 0."""
+        pencil_lam, pencil_irr, pencil_d1 = 1, 12, -1
+        # the pencil's (lambda, delta_irr) numbers satisfy 12 lambda = delta_irr
+        assert pic12_reduce({"lambda": 12, "delta_irr": -1}) == (0, 0)
+        assert 12 * pencil_lam - pencil_irr == 0
+        assert len(self.COMPOSITE) == 42  # g + 1 in 3..60: 58 values, 16 prime
+        for g in self.COMPOSITE:
+            cls = bn_class(g)
+            pairing = (pencil_lam * cls.lam.value + pencil_irr * cls.delta_irr.value
+                       + pencil_d1 * cls.boundary_coefficient(1, ()).value)
+            assert pairing == 0, g
+
+
 class TestCatalog:
     def test_builtin_names(self):
         assert catalog_names() == ["BN17", "BN5_3", "D12", "F12_10", "Z16"]
@@ -82,6 +126,35 @@ class TestCatalog:
         assert cls.delta_irr == Coefficient.exact(-1)
         assert [cls.boundary_coefficient(i, ()) for i in (1, 2)] == [
             Coefficient.exact(-4), Coefficient.exact(-6)]
+
+    def test_bn_entries_are_the_formula(self):
+        assert catalog_get("BN5_3").cls == bn_class(5)
+        bn17 = catalog_get("BN17").cls
+        assert bn17 == forgetful_pullback(bn_class(17), 8)
+        assert (bn17.space, bn17.lam, bn17.delta_irr) == (
+            Space(17, 8), Coefficient.exact(20), Coefficient.exact(-3))
+
+    def test_bn17_boundary_is_exact(self):
+        bn17 = catalog_get("BN17").cls
+        for i, s in boundary_orbits(bn17.space):
+            assert bn17.orbit_coefficient(i, s) == Coefficient.exact(-i * (17 - i)), (i, s)
+        assert not bn17.boundary_items()
+
+    def test_bn17_projection_formula(self):
+        """<pi^* D, T> = <D, pi_* T>: forgetting the points maps T_{i:S} onto a
+        pencil whose moving node has degree 2 - 2(17-i) on delta_i."""
+        bn17 = catalog_get("BN17").cls
+        space = bn17.space
+        curves = 0
+        for i in range(0, 18):
+            for s in range(0, 9):
+                try:
+                    curve = Pencil(space, i, range(1, s + 1))
+                except ValueError:
+                    continue
+                curves += 1
+                assert intersect_test_curve(bn17, curve) == (2 - 2 * (17 - i)) * -i * (17 - i)
+        assert curves == 157
 
     def test_unpublished_tails_are_unknown(self):
         z16 = catalog_get("Z16").cls

@@ -83,6 +83,43 @@ class TestSpaceAndIndexing:
         with pytest.raises(ValueError):
             Space(2, -1)
 
+    @pytest.mark.parametrize("g,n", [(5.0, 3), (5, True), (5, 3.0), (True, 3),
+                                     (Fraction(5), 3), ("5", 3), (5, None)], ids=repr)
+    def test_space_needs_int_g_and_n(self, g, n):
+        # Space(5.0, 3) used to construct and print g=5.0
+        with pytest.raises(ValueError, match="must be ints"):
+            Space(g, n)
+
+    @pytest.mark.parametrize("i,S", [(1.0, {1}), (1, {True}), (1, {1.0}), (True, {1}),
+                                     (Fraction(1), {1}), (1, {"1"})], ids=repr)
+    def test_index_needs_int_genus_and_labels(self, i, S):
+        # these used to be stored as given, and their serialized form did not load
+        with pytest.raises(ValueError, match="not an int"):
+            canonical_index(Space(5, 3), i, S)
+        with pytest.raises(ValueError, match="not an int"):
+            DivisorClass(Space(5, 3), boundary={(i, frozenset(S)): 2})
+        with pytest.raises(ValueError, match="not an int"):
+            Pencil(Space(5, 3), i, S)
+
+    def test_canonical_index_reads_labels_only_for_a_mirror(self, monkeypatch):
+        # a canonical (i, S) is checked in O(|S|); the n labels are read only to
+        # build the complement of a mirrored index
+        reads = []
+        labels = Space.labels
+        monkeypatch.setattr(Space, "labels", property(lambda sp: reads.append(1) or labels.fget(sp)))
+        space = Space(173, 153)
+        assert canonical_index(space, 1, {1}) == BoundaryIndex(1, frozenset({1}))
+        assert canonical_index(space, 0, {2, 7}) == BoundaryIndex(0, frozenset({2, 7}))
+        assert not reads
+        assert canonical_index(space, 172, set(range(2, 154))) == BoundaryIndex(1, frozenset({1}))
+        assert len(reads) == 1
+
+    def test_label_out_of_range_is_unstable_index(self):
+        with pytest.raises(UnstableIndexError, match="outside"):
+            canonical_index(Space(5, 3), 1, {4})
+        with pytest.raises(UnstableIndexError, match="outside"):
+            canonical_index(Space(5, 3), 1, {0})
+
     def test_unstable_index_rejected(self):
         # a genus-0 side with fewer than 2 marked points cannot exist
         with pytest.raises(UnstableIndexError):
