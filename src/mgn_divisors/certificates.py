@@ -245,17 +245,11 @@ def _residual_status(c: Coefficient) -> str:
     return "unknown"
 
 
-def solve_certificate(space: Space, components) -> Certificate:
-    """Solve K = a sum(psi) + sum c_k D_k + E exactly on the interior part.
-
-    `components` is a sequence of (name, DivisorClass).  Requires each
-    component's lambda, psi, delta_irr coefficients Exact and its psi
-    coefficients label-symmetric (asserted, not averaged).  E is forced to
-    vanish on lambda, psi, delta_irr; its boundary entries are classified per
-    generator orbit in the residual report.
-    """
-    components = list(components)
-    kraw = canonical_class(space.g, space.n)
+def _solve_interior(canonical: DivisorClass, components) -> tuple:
+    """(a, (c_k, ...)) solving canonical = a sum(psi) + sum c_k D_k on lambda,
+    psi and delta_irr; raises CertificateError when a component does not
+    qualify, or when the solution is not unique with a > 0 and every c_k >= 0."""
+    space = canonical.space
     for name, cls in components:
         if cls.space != space:
             raise SpaceMismatchError(f"component {name} lives on {cls.space}, want {space}")
@@ -272,7 +266,7 @@ def solve_certificate(space: Space, components) -> Certificate:
         [Fraction(1)] + [cls.psi_rest.value for _, cls in components],
         [Fraction(0)] + [cls.delta_irr.value for _, cls in components],
     ]
-    rhs = [kraw.lam.value, kraw.psi_rest.value, kraw.delta_irr.value]
+    rhs = [canonical.lam.value, canonical.psi_rest.value, canonical.delta_irr.value]
     sol = solve_linear(LinearSystem(matrix, rhs))
     if sol.status == "infeasible":
         raise InfeasibleCertificateError("no exact interior decomposition exists")
@@ -284,6 +278,31 @@ def solve_certificate(space: Space, components) -> Certificate:
     for (name, _), c in zip(components, cs):
         if c < 0:
             raise NegativeCoefficientError(f"component {name} gets negative coefficient {c}")
+    return a, tuple(cs)
+
+
+def _canonical_of(space: Space, canonical: DivisorClass | None) -> DivisorClass:
+    if canonical is None:
+        return canonical_class(space.g, space.n)
+    if canonical.space != space:
+        raise SpaceMismatchError(f"canonical class lives on {canonical.space}, want {space}")
+    return canonical
+
+
+def solve_certificate(space: Space, components, *, canonical: DivisorClass | None = None
+                      ) -> Certificate:
+    """Solve K = a sum(psi) + sum c_k D_k + E exactly on the interior part.
+
+    `components` is a sequence of (name, DivisorClass).  Requires each
+    component's lambda, psi, delta_irr coefficients Exact and its psi
+    coefficients label-symmetric (asserted, not averaged).  E is forced to
+    vanish on lambda, psi, delta_irr; its boundary entries are classified per
+    generator orbit in the residual report.  K is canonical_class(space), or
+    `canonical` when the caller has built it.
+    """
+    components = list(components)
+    kraw = _canonical_of(space, canonical)
+    a, cs = _solve_interior(kraw, components)
 
     residual = kraw.add(DivisorClass(space, psi=-a))
     for (_, cls), c in zip(components, cs):
@@ -306,13 +325,15 @@ def solve_certificate(space: Space, components) -> Certificate:
     )
 
 
-def perturbation_sound(space: Space, components) -> bool:
+def perturbation_sound(space: Space, components, *, canonical: DivisorClass | None = None
+                       ) -> bool:
     """Guard against a trivially-passing solver: bumping any single interior
     coefficient (lambda, the symmetric psi, or delta_irr) of any component by 1
-    must change the solved coefficients (or break solvability outright)."""
+    must change the solved coefficients (or break solvability outright).
+    Only the interior is solved, against K as in solve_certificate."""
     components = list(components)
-    base = solve_certificate(space, components)
-    baseline = (base.a, tuple(c for _, c in base.components))
+    kraw = _canonical_of(space, canonical)
+    baseline = _solve_interior(kraw, components)
     bumps = {
         "lam": DivisorClass(space, lam=1),
         "psi": DivisorClass(space, psi=1),
@@ -323,9 +344,9 @@ def perturbation_sound(space: Space, components) -> bool:
             mutated = list(components)
             mutated[k] = (name, cls.add(bump))
             try:
-                alt = solve_certificate(space, mutated)
+                alt = _solve_interior(kraw, mutated)
             except CertificateError:
                 continue  # no longer solvable: certainly not the same answer
-            if (alt.a, tuple(c for _, c in alt.components)) == baseline:
+            if alt == baseline:
                 return False
     return True

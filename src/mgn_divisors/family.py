@@ -152,7 +152,7 @@ def quad_class(t: int) -> DivisorClass:
 def c1_pushforward_L(i, s, g, n):
     """T_{i:S} . c1 of the pushforward of the once-twisted sheaf, for i < s."""
     _check_lemma_range(i, s, g)
-    return -(i - s) * ((i - s - 1) * (g - i - 1) + n - s)
+    return _lemma_L(i, s, g, n)
 
 
 def c1_pushforward_L2(i, s, g, n):
@@ -163,6 +163,10 @@ def c1_pushforward_L2(i, s, g, n):
         - 2 * s * (g * (2 * s + 3) - 2 * n - 3)
         + 8 * i ** 3
     )
+
+
+def _lemma_L(i, s, g, n):
+    return -(i - s) * ((i - s - 1) * (g - i - 1) + n - s)
 
 
 def _check_lemma_range(i, s, g):
@@ -181,28 +185,46 @@ def d1_phi_prime(i, s, t):
     c1(F) - (t+5) c1(E), evaluated against the test curve via the two closed
     forms above.
     """
-    g, n = gn_pair(t)
-    return c1_pushforward_L2(i, s, g, n) - (t + 5) * c1_pushforward_L(i, s, g, n)
+    return _phi_prime(i, s, t, *gn_pair(t))
 
 
-def _test_curve_rhs(i, s, t, b_s, b_s1):
+def _phi_prime(i, s, t, g, n):
+    # one range guard per cell, c1_pushforward_L2's
+    return c1_pushforward_L2(i, s, g, n) - (t + 5) * _lemma_L(i, s, g, n)
+
+
+def _test_curve_rhs(i, s, t, g, n, b_s, b_s1):
     """Right side of the test-curve recurrence on T_{i:S}, given the multiplicities
     b_s of delta_{i:s} and b_s1 of delta_{i:s+1}:
 
     (2g-2i-2+n-s) b_s - (n-s) b_s1 + (n-s) t.
     """
-    g, n = gn_pair(t)
     return (2 * g - 2 * i - 2 + n - s) * b_s - (n - s) * b_s1 + (n - s) * t
 
 
 def tilde_recurrence_rhs(i, s, t):
     """(2g-2i-2+n-s) tilde_b(i,s) - (n-s) tilde_b(i,s+1) + (n-s) t."""
-    return _test_curve_rhs(i, s, t, tilde_b(i, s, t), tilde_b(i, s + 1, t))
+    return _tilde_rhs(i, s, t, *gn_pair(t))
+
+
+def _tilde_rhs(i, s, t, g, n):
+    return _test_curve_rhs(i, s, t, g, n, tilde_b(i, s, t), tilde_b(i, s + 1, t))
 
 
 def verify_tilde_recurrence(i, s, t) -> bool:
     """Test-curve relation pinning tilde_b: T.[D1] = tilde_recurrence_rhs(i, s, t)."""
     return d1_phi_prime(i, s, t) == tilde_recurrence_rhs(i, s, t)
+
+
+def tilde_recurrence_grid(t: int):
+    """Both sides of the tilde_b recurrence on every test curve of the family
+    space, s-major over 1 <= s <= n, 0 <= i < s: yields
+    (i, s, d1_phi_prime(i, s, t), tilde_recurrence_rhs(i, s, t)), reading
+    (g, n) once for the whole grid."""
+    g, n = gn_pair(t)
+    for s in range(1, n + 1):
+        for i in range(s):
+            yield i, s, _phi_prime(i, s, t, g, n), _tilde_rhs(i, s, t, g, n)
 
 
 def d1_theta(s, t):
@@ -219,7 +241,19 @@ def d1_theta(s, t):
 
 def b1_recurrence_rhs(s, t):
     """t(n-s) + (2g-4+n-s) b_{1:s} - (n-s) b_{1:s+1}."""
-    return _test_curve_rhs(1, s, t, b1(s, t), b1(s + 1, t))
+    return _b1_rhs(s, t, *gn_pair(t))
+
+
+def _b1_rhs(s, t, g, n):
+    return _test_curve_rhs(1, s, t, g, n, b1(s, t), b1(s + 1, t))
+
+
+def b1_recurrence_grid(t: int):
+    """Both sides of the b_{1:s} recurrence for 1 <= s <= n: yields
+    (s, d1_theta(s, t), b1_recurrence_rhs(s, t)), reading (g, n) once."""
+    g, n = gn_pair(t)
+    for s in range(1, n + 1):
+        yield s, d1_theta(s, t), _b1_rhs(s, t, g, n)
 
 
 def verify_b1_recurrence(s, t) -> bool:

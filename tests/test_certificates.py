@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mgn_divisors import certificates, checks
 from mgn_divisors.certificates import (
     CertificateError,
     InfeasibleCertificateError,
@@ -18,7 +19,8 @@ from mgn_divisors.certificates import (
     solve_certificate,
 )
 from mgn_divisors.picard import (
-    Coefficient, DivisorClass, MalformedClassError, Space, TestCurve as Pencil, UNKNOWN, boundary_orbits,
+    Coefficient, DivisorClass, MalformedClassError, Space, SpaceMismatchError,
+    TestCurve as Pencil, UNKNOWN, boundary_orbits,
     class_to_dict, intersect_test_curve, serialize)
 from mgn_divisors.presets import certificate_components, certify
 from mgn_divisors.pullbacks import forgetful_pullback, pic12_reduce
@@ -240,6 +242,33 @@ class TestSolveCertificate:
     @pytest.mark.parametrize("g,n", sorted(EXPECTED))
     def test_perturbation_soundness(self, g, n):
         assert perturbation_sound(Space(g, n), certificate_components(g, n))
+
+    def test_sweep_builds_each_canonical_class_once(self, monkeypatch):
+        """K is built once per space and shared by the certificate and the
+        perturbation probe; the probe solves only the interior."""
+        build = certificates.canonical_class
+        built = []
+
+        def counting(g, n):
+            built.append((g, n))
+            return build(g, n)
+
+        for module in (certificates, checks):
+            monkeypatch.setattr(module, "canonical_class", counting, raising=False)
+        records = list(checks.check_certificates())
+        assert built == [(16, 8), (17, 8), (12, 10)]
+        assert len(records) == 9 and all(r["pass"] for r in records)
+
+    def test_shared_canonical_class_must_match_the_space(self):
+        space = Space(17, 8)
+        components = certificate_components(17, 8)
+        wrong = canonical_class(16, 8)
+        with pytest.raises(SpaceMismatchError):
+            solve_certificate(space, components, canonical=wrong)
+        with pytest.raises(SpaceMismatchError):
+            perturbation_sound(space, components, canonical=wrong)
+        shared = solve_certificate(space, components, canonical=canonical_class(17, 8))
+        assert shared.to_json() == certify(17, 8).to_json()
 
     def test_residual_report_covers_all_orbits(self):
         cert = certify(17, 8)

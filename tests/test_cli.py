@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import mgn_divisors
+from mgn_divisors import checks, cli
 from mgn_divisors.cli import main
 
 
@@ -113,6 +115,61 @@ class TestVerify:
     def test_unknown_suite(self, runner):
         result = runner.invoke(main, ["verify", "everything"])
         assert result.exit_code == 2
+
+
+class TestVerifyStream:
+    """verify writes records in batches as the sweep yields them."""
+
+    @pytest.fixture()
+    def grr_with_one_failure(self, monkeypatch):
+        """check_grr yields one failing record between passing ones; small
+        batches put it mid-stream."""
+        sweep = checks.check_grr
+
+        def failing(t_max):
+            records = sweep(t_max)
+            yield next(records)
+            yield checks.record("injected", {"t": 0}, 1, 2)
+            yield from records
+
+        monkeypatch.setattr(checks, "check_grr", failing)
+        monkeypatch.setattr(cli, "_BATCH", 2)
+
+    def test_failure_json(self, runner, grr_with_one_failure):
+        result = runner.invoke(main, ["verify", "grr", "--t-max", "1", "--json"])
+        assert result.exit_code == 1
+        doc = json.loads(result.output)
+        assert doc["summary"] == {"all_pass": False, "failed": 1, "passed": 8, "total": 9}
+        assert [r["pass"] for r in doc["records"]] == [True, False] + [True] * 7
+        assert result.output == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_failure_text(self, runner, grr_with_one_failure):
+        result = runner.invoke(main, ["verify", "grr", "--t-max", "1"])
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert "FAIL injected t=0  lhs=1 rhs=2" in lines
+        assert len(lines) == 10 and lines[-1] == "8/9 checks passed"
+
+    def test_memory_does_not_grow_with_t_max(self, monkeypatch):
+        """Peak traced memory of an in-process JSON sweep written to a sink
+        that keeps nothing: t_max 12 has 12x the records of t_max 6."""
+
+        def peak(t_max):
+            with open(os.devnull, "w") as sink:
+                monkeypatch.setattr(sys, "stdout", sink)
+                tracemalloc.start()
+                try:
+                    with pytest.raises(SystemExit) as done:
+                        main.main(["verify", "recurrences", "--t-max", str(t_max), "--json"],
+                                  standalone_mode=False)
+                    top = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert done.value.code == 0
+            return top
+
+        small, large = peak(6), peak(12)
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestCertify:
@@ -328,6 +385,10 @@ PINNED_STDOUT = {
         "d7687359e78fa8f6f69186b07663978a5548e26bb5e39ed33db664f4d0f884ae",
     "verify certificates --json":
         "4b8b82a79ab19ee5e865bca7980f46285c25f372081ef127e1d83bf2259f9ba7",
+    "verify recurrences --t-max 4":
+        "a65907b2cf08e1913690f9a43a8c72924b84e99aec101be4bb67cc9a7b23fcdf",
+    "verify all --t-max 2":
+        "57746b8fd29c4d961505461eeb5e7cd43556cbe4de9f7bbc69b2ab4780559775",
 }
 
 
