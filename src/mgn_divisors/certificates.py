@@ -212,6 +212,8 @@ class Certificate:
     components: tuple  # ((name, Fraction), ...)
     residual: DivisorClass
     residual_report: tuple  # ((kind, key, status), ...)
+    canonical: DivisorClass  # the K solved against; not in to_json
+    inputs: tuple  # ((name, DivisorClass), ...) as given; not in to_json
 
     def to_json(self) -> dict:
         res = self.residual
@@ -281,27 +283,18 @@ def _solve_interior(canonical: DivisorClass, components) -> tuple:
     return a, tuple(cs)
 
 
-def _canonical_of(space: Space, canonical: DivisorClass | None) -> DivisorClass:
-    if canonical is None:
-        return canonical_class(space.g, space.n)
-    if canonical.space != space:
-        raise SpaceMismatchError(f"canonical class lives on {canonical.space}, want {space}")
-    return canonical
-
-
-def solve_certificate(space: Space, components, *, canonical: DivisorClass | None = None
-                      ) -> Certificate:
+def solve_certificate(space: Space, components) -> Certificate:
     """Solve K = a sum(psi) + sum c_k D_k + E exactly on the interior part.
 
     `components` is a sequence of (name, DivisorClass).  Requires each
     component's lambda, psi, delta_irr coefficients Exact and its psi
     coefficients label-symmetric (asserted, not averaged).  E is forced to
     vanish on lambda, psi, delta_irr; its boundary entries are classified per
-    generator orbit in the residual report.  K is canonical_class(space), or
-    `canonical` when the caller has built it.
+    generator orbit in the residual report.  K is canonical_class(space); the
+    certificate keeps it and the components, for perturbation_sound.
     """
-    components = list(components)
-    kraw = _canonical_of(space, canonical)
+    components = tuple(components)
+    kraw = canonical_class(space.g, space.n)
     a, cs = _solve_interior(kraw, components)
 
     residual = kraw.add(DivisorClass(space, psi=-a))
@@ -316,35 +309,24 @@ def solve_certificate(space: Space, components, *, canonical: DivisorClass | Non
     for idx, v in residual.boundary_items():
         report.append(("index", (idx.i, tuple(sorted(idx.S))), _residual_status(v)))
 
-    return Certificate(
-        space=space,
-        a=a,
-        components=tuple((name, c) for (name, _), c in zip(components, cs)),
-        residual=residual,
-        residual_report=tuple(report),
-    )
+    named = tuple((name, c) for (name, _), c in zip(components, cs))
+    return Certificate(space, a, named, residual, tuple(report), kraw, components)
 
 
-def perturbation_sound(space: Space, components, *, canonical: DivisorClass | None = None
-                       ) -> bool:
+def perturbation_sound(cert: Certificate) -> bool:
     """Guard against a trivially-passing solver: bumping any single interior
-    coefficient (lambda, the symmetric psi, or delta_irr) of any component by 1
-    must change the solved coefficients (or break solvability outright).
-    Only the interior is solved, against K as in solve_certificate."""
-    components = list(components)
-    kraw = _canonical_of(space, canonical)
-    baseline = _solve_interior(kraw, components)
-    bumps = {
-        "lam": DivisorClass(space, lam=1),
-        "psi": DivisorClass(space, psi=1),
-        "delta_irr": DivisorClass(space, delta_irr=1),
-    }
-    for k, (name, cls) in enumerate(components):
-        for bump in bumps.values():
-            mutated = list(components)
+    coefficient (lambda, the symmetric psi, or delta_irr) of any input of
+    `cert` by 1 must change the solved coefficients (or break solvability
+    outright).  Only the interior is solved, against the certificate's K."""
+    baseline = (cert.a, tuple(c for _, c in cert.components))
+    bumps = [DivisorClass(cert.space, lam=1), DivisorClass(cert.space, psi=1),
+             DivisorClass(cert.space, delta_irr=1)]
+    for k, (name, cls) in enumerate(cert.inputs):
+        for bump in bumps:
+            mutated = list(cert.inputs)
             mutated[k] = (name, cls.add(bump))
             try:
-                alt = _solve_interior(kraw, mutated)
+                alt = _solve_interior(cert.canonical, mutated)
             except CertificateError:
                 continue  # no longer solvable: certainly not the same answer
             if alt == baseline:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .certificates import canonical_class, perturbation_sound, solve_certificate
+from .certificates import perturbation_sound
 from .exact import Poly, rat_str
 from .family import (
     b0,
@@ -32,15 +32,8 @@ from .family import (
     verify_tilde_recurrence,
 )
 from .grr import c1_pushforward, porteous_equal_rank, total_boundary, uniform_bundle
-from .picard import DivisorClass, Space
-from .presets import (
-    averaged_class_16_8,
-    averaged_class_17_8,
-    bn5_pullback,
-    certificate_components,
-    quad3_pullback_16_8,
-    quad3_pullback_17_8,
-)
+from .picard import DivisorClass
+from .presets import averaged_class, bn5_pullback, certify, quad3_pullback
 
 
 def _fmt(x) -> str:
@@ -128,34 +121,25 @@ def check_pullbacks():
     yield record("forgetful_bn5_equals_quad_t0", {}, bn5_pullback() == quad_class(0), True)
 
     q3 = quad_class(3)
-    p168 = quad3_pullback_16_8(q3, 1, 2)
-    yield record("clutch_16_8_interior", {"i": 1, "j": 2},
-                 [str(p168.lam), str(p168.psi_coefficient(1)),
-                  str(p168.psi_coefficient(2)), str(p168.psi_coefficient(3)),
-                  str(p168.delta_irr)],
-                 ["5", "9", "10", "3", "-1"])
-    p178 = quad3_pullback_17_8(q3, 1, 2)
-    yield record("clutch_17_8_interior", {"i": 1, "j": 2},
-                 [str(p178.lam), str(p178.psi_coefficient(1)),
-                  str(p178.psi_coefficient(2)), str(p178.psi_coefficient(3)),
-                  str(p178.delta_irr)],
-                 ["5", "10", "10", "3", "-1"])
+    pulled = {g: quad3_pullback(q3, g, 1, 2) for g in (16, 17)}
+    for g, psi_1 in ((16, "9"), (17, "10")):
+        p = pulled[g]
+        yield record(f"clutch_{g}_8_interior", {"i": 1, "j": 2},
+                     [str(p.lam), str(p.psi_coefficient(1)),
+                      str(p.psi_coefficient(2)), str(p.psi_coefficient(3)),
+                      str(p.delta_irr)],
+                     ["5", psi_1, "10", "3", "-1"])
     # psi gain at an attachment equals the matching family coefficient
     yield record("psi_gain_elliptic_tail", {"t": 3, "h": 1, "k": 2},
-                 p168.psi_coefficient(1).value, b1(2, 3))
+                 pulled[16].psi_coefficient(1).value, b1(2, 3))
     yield record("psi_gain_rational_tail", {"t": 3, "h": 0, "k": 2},
-                 p168.psi_coefficient(2).value, b0(2, 3))
+                 pulled[16].psi_coefficient(2).value, b0(2, 3))
 
-    d168 = averaged_class_16_8()
-    yield record("averaged_16_8", {},
-                 [str(d168.lam), str(d168.psi_coefficient(1)), str(d168.delta_irr)],
-                 ["40", "37", "-8"])
-    yield record("averaged_16_8_symmetric", {}, d168.psi_symmetric, True)
-    d178 = averaged_class_17_8()
-    yield record("averaged_17_8", {},
-                 [str(d178.lam), str(d178.psi_coefficient(1)), str(d178.delta_irr)],
-                 ["20", "19", "-4"])
-    yield record("averaged_17_8_symmetric", {}, d178.psi_symmetric, True)
+    for g, want in ((16, ["40", "37", "-8"]), (17, ["20", "19", "-4"])):
+        d = averaged_class(g)
+        yield record(f"averaged_{g}_8", {},
+                     [str(d.lam), str(d.psi_coefficient(1)), str(d.delta_irr)], want)
+        yield record(f"averaged_{g}_8_symmetric", {}, d.psi_symmetric, True)
 
 
 def check_pic12(t_max: int = 8):
@@ -176,12 +160,8 @@ def check_certificates():
         (12, 10): ("59/4415", [("D12", "13/13245"), ("F12_10", "484/4415")]),
     }
     for (g, n), (a_want, comps_want) in expected.items():
-        # built once: each averaged component is 56 clutching pullbacks, and K
-        # serves both the certificate and the perturbation probe
-        space = Space(g, n)
-        components = certificate_components(g, n)
-        canonical = canonical_class(g, n)
-        cert = solve_certificate(space, components, canonical=canonical)
+        # K is built once, by certify; the probe reuses the certificate's K and inputs
+        cert = certify(g, n)
         got = (rat_str(cert.a), [(nm, rat_str(c)) for nm, c in cert.components])
         yield record("certificate", {"g": g, "n": n}, str(got), str((a_want, comps_want)))
         res = cert.residual
@@ -189,7 +169,7 @@ def check_certificates():
                          and res.psi_symmetric and res.psi_rest.is_zero)
         yield record("certificate_residual_interior_zero", {"g": g, "n": n}, interior_zero, True)
         yield record("certificate_perturbation_sound", {"g": g, "n": n},
-                     perturbation_sound(space, components, canonical=canonical), True)
+                     perturbation_sound(cert), True)
 
 
 # Every entry looks its sweep up by name at call time, so a profiler that rebinds

@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 when every requested check passes, 1 on a verification failure
-or an unsolvable certificate, 2 on usage errors (click's default).  With
---json the report is canonical JSON (sorted keys, rationals as strings) and is
-byte-stable across runs.  The only environment knob is MGNDIV_WIDTH, the wrap
+or an unsolvable certificate, 2 on usage errors (click's default), 3 when a
+verify sweep raises an internal error: every record it yielded before is
+written, the JSON document is left unterminated with no summary, and the
+traceback goes to stderr.  With --json the report is canonical JSON (sorted
+keys, rationals as strings) and is byte-stable across runs.  The only environment knob is MGNDIV_WIDTH, the wrap
 width for human-readable class expressions.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import textwrap
 from itertools import islice
@@ -19,8 +20,8 @@ import click
 from . import checks
 from .certificates import CertificateError, canonical_class, catalog_load
 from .family import gn_pair, quad_class
-from .picard import MalformedClassError, class_to_dict
-from .presets import averaged_class_16_8, averaged_class_17_8, bn5_pullback, certify
+from .picard import CANONICAL_JSON, MalformedClassError, class_to_dict
+from .presets import averaged_class, bn5_pullback, certify
 
 
 def _width() -> int:
@@ -31,7 +32,7 @@ def _width() -> int:
 
 
 def _emit_json(doc) -> None:
-    click.echo(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    click.echo(CANONICAL_JSON.encode(doc))
 
 
 def _emit_class(cls, as_json: bool) -> None:
@@ -84,8 +85,8 @@ def canonical(g, n, as_json):
 
 _PRESETS = {
     "bn5-to-51": bn5_pullback,
-    "quad3-to-168": averaged_class_16_8,
-    "quad3-to-178": averaged_class_17_8,
+    "quad3-to-168": lambda: averaged_class(16),
+    "quad3-to-178": lambda: averaged_class(17),
 }
 
 
@@ -110,6 +111,15 @@ def _text_line(r) -> str:
     return line
 
 
+def _until_error(records, errors):
+    """The records of a sweep up to the first exception it raises, which is
+    appended to `errors` instead of propagating."""
+    try:
+        yield from records
+    except Exception as e:
+        errors.append(e)
+
+
 @main.command()
 @click.argument("suite", type=click.Choice([*checks.SUITES, "all"]))
 @click.option("--t-max", default=8, show_default=True, type=click.IntRange(min=0))
@@ -120,10 +130,13 @@ def verify(suite, t_max, as_json):
     Records are written in batches as the sweep yields them and counted as
     they pass, so memory does not grow with the record count.  The JSON
     document is the one json.dumps would write for the whole report:
-    "records" sorts before "summary".
+    "records" sorts before "summary".  If the sweep raises, the records it
+    yielded are written, then its traceback on stderr, and the exit code is 3.
     """
-    records = checks.check_all(t_max) if suite == "all" else checks.SUITES[suite](t_max)
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    sweep = checks.check_all(t_max) if suite == "all" else checks.SUITES[suite](t_max)
+    errors = []
+    records = _until_error(sweep, errors)
+    encode = CANONICAL_JSON.encode
     total = failed = 0
     if as_json:
         click.echo('{"records":[', nl=False)
@@ -134,6 +147,11 @@ def verify(suite, t_max, as_json):
             click.echo("\n".join(map(_text_line, batch)))
         total += len(batch)
         failed += sum(not r["pass"] for r in batch)
+    if errors:
+        import traceback  # only on this path: a cold start does not pay for it
+
+        traceback.print_exception(errors[0])
+        raise SystemExit(3)
     summary = {"total": total, "passed": total - failed, "failed": failed, "all_pass": not failed}
     if as_json:
         click.echo('],"summary":' + encode(summary) + "}")

@@ -149,12 +149,6 @@ def quad_class(t: int) -> DivisorClass:
 # test-curve intersection numbers and the two recurrences
 
 
-def c1_pushforward_L(i, s, g, n):
-    """T_{i:S} . c1 of the pushforward of the once-twisted sheaf, for i < s."""
-    _check_lemma_range(i, s, g)
-    return _lemma_L(i, s, g, n)
-
-
 def c1_pushforward_L2(i, s, g, n):
     """T_{i:S} . c1 of the pushforward of the squared twisted sheaf, for i < s."""
     _check_lemma_range(i, s, g)

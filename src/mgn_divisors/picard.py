@@ -684,9 +684,13 @@ def class_to_dict(cls: DivisorClass) -> dict:
     }
 
 
+# the canonical JSON encoding: sorted keys, no whitespace
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def serialize(cls: DivisorClass) -> str:
     """Canonical JSON text: sorted keys, rationals as strings, byte-stable."""
-    return json.dumps(class_to_dict(cls), sort_keys=True, separators=(",", ":"))
+    return CANONICAL_JSON.encode(class_to_dict(cls))
 
 
 def _wire_int(x) -> int:

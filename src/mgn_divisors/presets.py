@@ -1,10 +1,10 @@
 """Concrete pullback families and certificate recipes for the three spaces of
 interest: (16,8), (17,8) and (12,10).
 
-The averaged classes are built from the ordered-pair clutching pullbacks of
-the t=3 family class on the 10-pointed genus-17 space; the normalization
-constants reproduce the reference integral coefficients (40/37/8 and 20/19/4),
-any positive rescaling gives the same certificate.
+The averaged classes are built by one recipe from the ordered-pair clutching
+pullbacks of the t=3 family class on the 10-pointed genus-17 space; the
+normalizations in PAIR_TAILS reproduce the reference integral coefficients
+(40/37/8 and 20/19/4), any positive rescaling gives the same certificate.
 """
 
 from __future__ import annotations
@@ -20,39 +20,24 @@ from .pullbacks import (
     forgetful_pullback,
 )
 
-D_16_8_NORMALIZATION = 8
-D_17_8_NORMALIZATION = 4
+# g -> (tail genus at i, tail genus at j, normalization) on the 8-pointed space
+PAIR_TAILS = {16: (1, 0, 8), 17: (0, 0, 4)}
 
 
-def _pair_map(source: Space, target: Space, i: int, j: int,
-              genus_i: int, genus_j: int) -> ClutchingMap:
-    """Attach a 2-pointed tail of genus_i at label i and genus_j at label j;
-    retained labels fill the low target labels in order, tails take the rest."""
-    retained_src = [l for l in source.labels if l not in (i, j)]
-    retained = {s: t for t, s in enumerate(retained_src, start=1)}
-    k = len(retained_src)
-    return ClutchingMap(
+def quad3_pullback(q3: DivisorClass, g: int, i: int, j: int) -> DivisorClass:
+    """Pullback of the t=3 class q3 = quad_class(3) to the 8-pointed genus-g
+    space along the map attaching 2-pointed tails of the PAIR_TAILS[g] genera
+    at labels i and j; retained labels fill target labels 1..6 in order, the
+    tails take 7, 8 and 9, 10."""
+    genus_i, genus_j, _ = PAIR_TAILS[g]
+    source = Space(g, 8)
+    retained = [l for l in source.labels if l not in (i, j)]
+    m = ClutchingMap(
         source,
-        target,
-        attachments=(
-            TailAttachment(i, genus_i, {k + 1, k + 2}),
-            TailAttachment(j, genus_j, {k + 3, k + 4}),
-        ),
-        retained=retained,
+        Space(17, 10),
+        attachments=(TailAttachment(i, genus_i, {7, 8}), TailAttachment(j, genus_j, {9, 10})),
+        retained={s: t for t, s in enumerate(retained, start=1)},
     )
-
-
-def quad3_pullback_16_8(q3: DivisorClass, i: int, j: int) -> DivisorClass:
-    """Pullback of the t=3 class q3 = quad_class(3) along the map attaching an
-    elliptic 2-pointed tail at i and a rational 2-pointed tail at j."""
-    m = _pair_map(Space(16, 8), Space(17, 10), i, j, genus_i=1, genus_j=0)
-    return clutch_pullback(q3, m)
-
-
-def quad3_pullback_17_8(q3: DivisorClass, i: int, j: int) -> DivisorClass:
-    """Pullback of the t=3 class q3 = quad_class(3) along the map attaching
-    rational 2-pointed tails at both i and j."""
-    m = _pair_map(Space(17, 8), Space(17, 10), i, j, genus_i=0, genus_j=0)
     return clutch_pullback(q3, m)
 
 
@@ -60,16 +45,12 @@ def ordered_pairs(n: int):
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 
 
-def averaged_class_16_8() -> DivisorClass:
+def averaged_class(g: int) -> DivisorClass:
+    """D_g_8: the average of quad3_pullback over the 56 ordered pairs of
+    labels, scaled by the normalization of PAIR_TAILS[g]."""
     q3 = quad_class(3)
-    fam = [quad3_pullback_16_8(q3, i, j) for i, j in ordered_pairs(8)]
-    return average_over_pairs(fam, D_16_8_NORMALIZATION)
-
-
-def averaged_class_17_8() -> DivisorClass:
-    q3 = quad_class(3)
-    fam = [quad3_pullback_17_8(q3, i, j) for i, j in ordered_pairs(8)]
-    return average_over_pairs(fam, D_17_8_NORMALIZATION)
+    fam = [quad3_pullback(q3, g, i, j) for i, j in ordered_pairs(8)]
+    return average_over_pairs(fam, PAIR_TAILS[g][2])
 
 
 def _catalog_class(name: str, catalog, space: Space) -> DivisorClass:
@@ -85,12 +66,12 @@ def certificate_components(g: int, n: int, catalog=None):
     """Named effective classes feeding the certificate for a supported space."""
     if (g, n) == (16, 8):
         return [
-            ("D_16_8", averaged_class_16_8()),
+            ("D_16_8", averaged_class(16)),
             ("Z16", forgetful_pullback(_catalog_class("Z16", catalog, Space(16, 0)), 8)),
         ]
     if (g, n) == (17, 8):
         return [
-            ("D_17_8", averaged_class_17_8()),
+            ("D_17_8", averaged_class(17)),
             ("BN17", _catalog_class("BN17", catalog, Space(17, 8))),
         ]
     if (g, n) == (12, 10):

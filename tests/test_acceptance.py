@@ -33,15 +33,7 @@ from mgn_divisors.picard import (
     intersect_test_curve,
     serialize,
 )
-from mgn_divisors.presets import (
-    averaged_class_16_8,
-    averaged_class_17_8,
-    bn5_pullback,
-    certificate_components,
-    certify,
-    quad3_pullback_16_8,
-    quad3_pullback_17_8,
-)
+from mgn_divisors.presets import averaged_class, bn5_pullback, certify, quad3_pullback
 
 
 def report(num, label, ok):
@@ -137,20 +129,20 @@ def test_criterion_8_pullback_oracles():
     ok = True
     q3 = quad_class(3)
     for i, j in [(1, 2), (4, 7)]:
-        p = quad3_pullback_16_8(q3, i, j)
+        p = quad3_pullback(q3, 16, i, j)
         ok = ok and p.lam == Coefficient.exact(5) and p.delta_irr == Coefficient.exact(-1)
         ok = ok and all(
             p.psi_coefficient(k) == Coefficient.exact(9 if k == i else 10 if k == j else 3)
             for k in Space(16, 8).labels)
-        q = quad3_pullback_17_8(q3, i, j)
+        q = quad3_pullback(q3, 17, i, j)
         ok = ok and q.lam == Coefficient.exact(5) and q.delta_irr == Coefficient.exact(-1)
         ok = ok and all(
             q.psi_coefficient(k) == Coefficient.exact(10 if k in (i, j) else 3)
             for k in Space(17, 8).labels)
-    d = averaged_class_16_8()
+    d = averaged_class(16)
     ok = ok and (d.lam, d.psi_coefficient(1), d.delta_irr) == tuple(
         Coefficient.exact(v) for v in (40, 37, -8))
-    d = averaged_class_17_8()
+    d = averaged_class(17)
     ok = ok and (d.lam, d.psi_coefficient(1), d.delta_irr) == tuple(
         Coefficient.exact(v) for v in (20, 19, -4))
     report(8, "clutching pullbacks and symmetrized averages", ok)
@@ -169,7 +161,7 @@ def test_criterion_9_certificates():
         res = cert.residual
         ok = ok and res.lam.is_zero and res.delta_irr.is_zero
         ok = ok and all(res.psi_coefficient(j).is_zero for j in res.space.labels)
-        ok = ok and perturbation_sound(Space(g, n), certificate_components(g, n))
+        ok = ok and perturbation_sound(cert)
     report(9, "general-type certificates with perturbation soundness", ok)
 
 
@@ -216,9 +208,9 @@ def test_criterion_10_property_suites():
     # JSON round-trip identity over the constructed corpus
     corpus = [quad_class(t) for t in range(5)]
     corpus += [canonical_class(g, n) for g, n in [(5, 1), (16, 8), (17, 8), (12, 10)]]
-    corpus += [bn5_pullback(), averaged_class_16_8(), averaged_class_17_8(),
-               quad3_pullback_16_8(quad_class(3), 1, 2),
-               quad3_pullback_17_8(quad_class(3), 3, 4)]
+    corpus += [bn5_pullback(), averaged_class(16), averaged_class(17),
+               quad3_pullback(quad_class(3), 16, 1, 2),
+               quad3_pullback(quad_class(3), 17, 3, 4)]
     for cls in corpus:
         text = serialize(cls)
         ok = ok and deserialize(text) == cls and serialize(deserialize(text)) == text

@@ -19,7 +19,7 @@ from mgn_divisors.certificates import (
     solve_certificate,
 )
 from mgn_divisors.picard import (
-    Coefficient, DivisorClass, MalformedClassError, Space, SpaceMismatchError,
+    Coefficient, DivisorClass, MalformedClassError, Space,
     TestCurve as Pencil, UNKNOWN, boundary_orbits,
     class_to_dict, intersect_test_curve, serialize)
 from mgn_divisors.presets import certificate_components, certify
@@ -241,7 +241,7 @@ class TestSolveCertificate:
 
     @pytest.mark.parametrize("g,n", sorted(EXPECTED))
     def test_perturbation_soundness(self, g, n):
-        assert perturbation_sound(Space(g, n), certificate_components(g, n))
+        assert perturbation_sound(certify(g, n))
 
     def test_sweep_builds_each_canonical_class_once(self, monkeypatch):
         """K is built once per space and shared by the certificate and the
@@ -259,16 +259,18 @@ class TestSolveCertificate:
         assert built == [(16, 8), (17, 8), (12, 10)]
         assert len(records) == 9 and all(r["pass"] for r in records)
 
-    def test_shared_canonical_class_must_match_the_space(self):
-        space = Space(17, 8)
-        components = certificate_components(17, 8)
-        wrong = canonical_class(16, 8)
-        with pytest.raises(SpaceMismatchError):
-            solve_certificate(space, components, canonical=wrong)
-        with pytest.raises(SpaceMismatchError):
-            perturbation_sound(space, components, canonical=wrong)
-        shared = solve_certificate(space, components, canonical=canonical_class(17, 8))
-        assert shared.to_json() == certify(17, 8).to_json()
+    def test_certificate_keeps_its_canonical_class_and_inputs(self):
+        cert = certify(17, 8)
+        assert cert.canonical == canonical_class(17, 8)
+        assert [nm for nm, _ in cert.inputs] == ["D_17_8", "BN17"]
+        assert [cls for _, cls in cert.inputs] == [cls for _, cls in certificate_components(17, 8)]
+        assert set(cert.to_json()) == {"space", "a", "components", "residual"}
+
+    def test_perturbation_guard_catches_a_solver_that_ignores_its_inputs(self, monkeypatch):
+        cert = certify(17, 8)
+        own = (cert.a, tuple(c for _, c in cert.components))
+        monkeypatch.setattr(certificates, "_solve_interior", lambda canonical, components: own)
+        assert not perturbation_sound(cert)
 
     def test_residual_report_covers_all_orbits(self):
         cert = certify(17, 8)

@@ -150,6 +150,32 @@ class TestVerifyStream:
         assert "FAIL injected t=0  lhs=1 rhs=2" in lines
         assert len(lines) == 10 and lines[-1] == "8/9 checks passed"
 
+    @pytest.fixture()
+    def grr_that_raises(self, monkeypatch):
+        """check_grr yields one record, then raises; the batch is larger than
+        what the sweep yields, so the record is still in an unwritten batch."""
+        sweep = checks.check_grr
+
+        def raising(t_max):
+            yield next(sweep(t_max))
+            raise RuntimeError("injected internal error")
+
+        monkeypatch.setattr(checks, "check_grr", raising)
+
+    def test_internal_error_json(self, runner, grr_that_raises):
+        result = runner.invoke(main, ["verify", "grr", "--t-max", "1", "--json"])
+        assert result.exit_code == 3
+        record = json.dumps(checks.record("grr_once_twisted", {"t": 0}, True, True),
+                            sort_keys=True, separators=(",", ":"))
+        assert result.stdout == '{"records":[' + record
+        assert "RuntimeError: injected internal error" in result.stderr
+
+    def test_internal_error_text(self, runner, grr_that_raises):
+        result = runner.invoke(main, ["verify", "grr", "--t-max", "1"])
+        assert result.exit_code == 3
+        assert result.stdout == "PASS grr_once_twisted t=0\n"
+        assert "RuntimeError: injected internal error" in result.stderr
+
     def test_memory_does_not_grow_with_t_max(self, monkeypatch):
         """Peak traced memory of an in-process JSON sweep written to a sink
         that keeps nothing: t_max 12 has 12x the records of t_max 6."""

@@ -22,14 +22,7 @@ from mgn_divisors.pullbacks import (
     forgetful_pullback,
     pic12_reduce,
 )
-from mgn_divisors.presets import (
-    averaged_class_16_8,
-    averaged_class_17_8,
-    bn5_pullback,
-    ordered_pairs,
-    quad3_pullback_16_8,
-    quad3_pullback_17_8,
-)
+from mgn_divisors.presets import averaged_class, bn5_pullback, ordered_pairs, quad3_pullback
 
 
 def fanned_out(cls, n):
@@ -164,7 +157,7 @@ class TestClutchPullback:
     @pytest.mark.parametrize("i,j", [(1, 2), (3, 7), (8, 1)])
     def test_elliptic_rational_oracle(self, i, j):
         """5L + 3 sum psi + 9 psi_i + 10 psi_j - delta_irr on the interior."""
-        out = quad3_pullback_16_8(quad_class(3), i, j)
+        out = quad3_pullback(quad_class(3), 16, i, j)
         assert out.lam == Coefficient.exact(5)
         assert out.delta_irr == Coefficient.exact(-1)
         for k in Space(16, 8).labels:
@@ -173,7 +166,7 @@ class TestClutchPullback:
 
     @pytest.mark.parametrize("i,j", [(1, 2), (5, 6)])
     def test_two_rational_oracle(self, i, j):
-        out = quad3_pullback_17_8(quad_class(3), i, j)
+        out = quad3_pullback(quad_class(3), 17, i, j)
         assert out.lam == Coefficient.exact(5)
         assert out.delta_irr == Coefficient.exact(-1)
         for k in Space(17, 8).labels:
@@ -181,12 +174,12 @@ class TestClutchPullback:
             assert out.psi_coefficient(k) == Coefficient.exact(expected)
 
     def test_psi_gain_matches_family_coefficients(self):
-        out = quad3_pullback_16_8(quad_class(3), 1, 2)
+        out = quad3_pullback(quad_class(3), 16, 1, 2)
         assert out.psi_coefficient(1).value == b1(2, 3)
         assert out.psi_coefficient(2).value == b0(2, 3)
 
     def test_boundary_becomes_unknown(self):
-        out = quad3_pullback_16_8(quad_class(3), 1, 2)
+        out = quad3_pullback(quad_class(3), 16, 1, 2)
         assert out.boundary_coefficient(1, set()) == UNKNOWN
 
     def test_boundary_free_input_stays_exact(self):
@@ -208,14 +201,14 @@ class TestAveraging:
             average_over_pairs([])
 
     def test_averaged_16_8(self):
-        out = averaged_class_16_8()
+        out = averaged_class(16)
         assert out.psi_symmetric
         assert out.lam == Coefficient.exact(40)
         assert out.psi_coefficient(1) == Coefficient.exact(37)
         assert out.delta_irr == Coefficient.exact(-8)
 
     def test_averaged_17_8(self):
-        out = averaged_class_17_8()
+        out = averaged_class(17)
         assert out.psi_symmetric
         assert out.lam == Coefficient.exact(20)
         assert out.psi_coefficient(1) == Coefficient.exact(19)
@@ -228,13 +221,13 @@ class TestAveraging:
         # each label is the elliptic slot in 7 ordered pairs (gain 9), the
         # rational slot in 7 (gain 10), and a bystander in 42 (gain 3)
         psi_total = 7 * 9 + 7 * 10 + 42 * 3
-        assert averaged_class_16_8().psi_coefficient(1).value == Fraction(8 * psi_total, 56)
-        assert averaged_class_16_8().lam.value == Fraction(8 * 56 * 5, 56)
+        assert averaged_class(16).psi_coefficient(1).value == Fraction(8 * psi_total, 56)
+        assert averaged_class(16).lam.value == Fraction(8 * 56 * 5, 56)
 
-    @pytest.mark.parametrize("average", [averaged_class_16_8, averaged_class_17_8])
-    def test_average_builds_the_family_class_once(self, quad_class_builds, average):
+    @pytest.mark.parametrize("g", [16, 17], ids=lambda g: f"averaged_class_{g}_8")
+    def test_average_builds_the_family_class_once(self, quad_class_builds, g):
         built = quad_class_builds(presets)
-        average()
+        averaged_class(g)
         assert built == [3]
 
 
