@@ -4,7 +4,8 @@ Core data model lives in `picard`, the one-parameter divisor family in
 `family`, the Chern-class engine in `grr`, pullbacks in `pullbacks`,
 general-type certificates in `certificates`, and the verification sweeps in
 `checks`.  Everything computes over exact rationals and polynomials from
-`exact`; no floating point anywhere.
+`exact`; no floating point anywhere.  A stored scalar is an int when it is
+integral, else a Fraction (`exact.scalar`).
 """
 
 from .exact import LinearSystem, Poly, parse_rat, rat, rat_str, solve_linear

@@ -262,11 +262,12 @@ def _solve_interior(canonical: DivisorClass, components) -> tuple:
             raise CertificateError(f"component {name} is not psi-symmetric")
 
     # rows: lambda, psi (one equation by symmetry, read from the psi rest), delta_irr
-    # columns: a, then one per component
+    # columns: a, then one per component; LinearSystem coerces every entry to
+    # Fraction, so the solver's quotients stay exact
     matrix = [
-        [Fraction(0)] + [cls.lam.value for _, cls in components],
-        [Fraction(1)] + [cls.psi_rest.value for _, cls in components],
-        [Fraction(0)] + [cls.delta_irr.value for _, cls in components],
+        [0] + [cls.lam.value for _, cls in components],
+        [1] + [cls.psi_rest.value for _, cls in components],
+        [0] + [cls.delta_irr.value for _, cls in components],
     ]
     rhs = [canonical.lam.value, canonical.psi_rest.value, canonical.delta_irr.value]
     sol = solve_linear(LinearSystem(matrix, rhs))

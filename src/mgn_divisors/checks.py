@@ -106,7 +106,7 @@ def check_grr(t_max: int = 8):
         yield record("grr_once_twisted", {"t": t0}, e == expected_e, True)
         yield record("grr_twice_twisted", {"t": t0}, f == expected_f, True)
         d1 = porteous_equal_rank(e, t0 + 4, f)
-        expected_d1 = DivisorClass(space, lam=8 - t0, psi=Fraction(t0)).add(total_boundary(space, -1))
+        expected_d1 = DivisorClass(space, lam=8 - t0, psi=t0).add(total_boundary(space, -1))
         yield record("porteous_interior", {"t": t0}, d1 == expected_d1, True)
         q = quad_class(t0)
         # two symmetric psi parts agree when their rests do

@@ -1,8 +1,13 @@
 """Exact scalar arithmetic: rationals, multivariate polynomials, linear solving.
 
 Everything in this package computes over these types; there is no floating
-point anywhere.  Rationals are `fractions.Fraction` (arbitrary precision,
-always in lowest terms) and serialize as "p/q" strings, never as floats.
+point anywhere.  An exact scalar has one stored normal form, `scalar(x)`: an
+`int` when the value is integral, else a `fractions.Fraction` with a
+denominator above 1, never a float.  Divisor-class coefficients and test-curve
+pairings keep it, so integral arithmetic runs on ints, which are far cheaper
+than Fractions.  `rat` still coerces to Fraction where a quotient is taken, in
+`Poly` coefficients and in `solve_linear`: there `int / int` would be a float.
+Rationals serialize as "p/q" strings, or "p" when integral, never as floats.
 """
 
 from __future__ import annotations
@@ -23,6 +28,19 @@ def rat(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def scalar(x) -> Scalar:
+    """The normal form of an exact scalar: an int when x is integral, else a
+    Fraction with a denominator above 1.  A float, or anything else that is
+    not an int or a Fraction, raises TypeError."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):  # a bool or another int subclass
+        return int(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 

@@ -20,9 +20,7 @@ skip a Poly because it has no order.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exact import Poly, half, invert_matrix
+from .exact import Poly, Scalar, half, invert_matrix
 from .picard import (
     Coefficient,
     DivisorClass,
@@ -137,7 +135,7 @@ def quad_class(t: int) -> DivisorClass:
     return DivisorClass(
         space,
         lam=8 - t,
-        psi=Fraction(t),
+        psi=t,
         delta_irr=-1,
         boundary_sym=sym,
         # classical BN^1_{5,3} value at t = 0
@@ -152,6 +150,11 @@ def quad_class(t: int) -> DivisorClass:
 def c1_pushforward_L2(i, s, g, n):
     """T_{i:S} . c1 of the pushforward of the squared twisted sheaf, for i < s."""
     _check_lemma_range(i, s, g)
+    return _c1_L2(i, s, g, n)
+
+
+def _c1_L2(i, s, g, n):
+    # unguarded: tilde_recurrence_grid checks the range once per grid
     return (
         -2 * (i * i * (4 * g + 6 * s + 1) + i * (-g * (6 * s + 5) + 3 * n - 2 * s * s + 5))
         - 2 * s * (g * (2 * s + 3) - 2 * n - 3)
@@ -179,11 +182,7 @@ def d1_phi_prime(i, s, t):
     c1(F) - (t+5) c1(E), evaluated against the test curve via the two closed
     forms above.
     """
-    return _phi_prime(i, s, t, *gn_pair(t))
-
-
-def _phi_prime(i, s, t, g, n):
-    # one range guard per cell, c1_pushforward_L2's
+    g, n = gn_pair(t)
     return c1_pushforward_L2(i, s, g, n) - (t + 5) * _lemma_L(i, s, g, n)
 
 
@@ -198,10 +197,7 @@ def _test_curve_rhs(i, s, t, g, n, b_s, b_s1):
 
 def tilde_recurrence_rhs(i, s, t):
     """(2g-2i-2+n-s) tilde_b(i,s) - (n-s) tilde_b(i,s+1) + (n-s) t."""
-    return _tilde_rhs(i, s, t, *gn_pair(t))
-
-
-def _tilde_rhs(i, s, t, g, n):
+    g, n = gn_pair(t)
     return _test_curve_rhs(i, s, t, g, n, tilde_b(i, s, t), tilde_b(i, s + 1, t))
 
 
@@ -213,12 +209,22 @@ def verify_tilde_recurrence(i, s, t) -> bool:
 def tilde_recurrence_grid(t: int):
     """Both sides of the tilde_b recurrence on every test curve of the family
     space, s-major over 1 <= s <= n, 0 <= i < s: yields
-    (i, s, d1_phi_prime(i, s, t), tilde_recurrence_rhs(i, s, t)), reading
-    (g, n) once for the whole grid."""
+    (i, s, d1_phi_prime(i, s, t), tilde_recurrence_rhs(i, s, t)).
+
+    (g, n) is read once, and the lemma range is checked once, on the widest
+    cell (n-1, n): every other cell has a smaller i and s.  Row s computes
+    tilde_b(i, s+1, t) for i < s, and row s+1 reuses these as its
+    tilde_b(i, s+1, t), so each value is computed once.
+    """
     g, n = gn_pair(t)
+    _check_lemma_range(n - 1, n, g)
+    b_s1 = []  # the row before's tilde_b(i, s, t), i < s - 1
     for s in range(1, n + 1):
+        b_s = b_s1 + [tilde_b(s - 1, s, t)]
+        b_s1 = [tilde_b(i, s + 1, t) for i in range(s)]
         for i in range(s):
-            yield i, s, _phi_prime(i, s, t, g, n), _tilde_rhs(i, s, t, g, n)
+            phi = _c1_L2(i, s, g, n) - (t + 5) * _lemma_L(i, s, g, n)
+            yield i, s, phi, _test_curve_rhs(i, s, t, g, n, b_s[i], b_s1[i])
 
 
 def d1_theta(s, t):
@@ -261,7 +267,7 @@ def verify_b1_recurrence(s, t) -> bool:
     return d1_theta(s, t) == b1_recurrence_rhs(s, t)
 
 
-def b1_pairing_via_class(q: DivisorClass, s: int) -> Fraction:
+def b1_pairing_via_class(q: DivisorClass, s: int) -> Scalar:
     """Same left side, third way: pair the family class q = quad_class(t)
     with T_{1:{1..s}}."""
     return intersect_test_curve(q, TestCurve(q.space, 1, frozenset(range(1, s + 1))))

@@ -9,9 +9,9 @@ total on that shape.  Also the equal-rank Porteous step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
+from .exact import half
 from .picard import Coefficient, DivisorClass, Space
 
 
@@ -57,10 +57,11 @@ def c1_pushforward(space: Space, bundle: FiberwiseLineBundle) -> DivisorClass:
     a = bundle.power
     # (c1(L)^2 - c1(L) c1(omega)) has psi^2 coefficient a^2 - a and
     # Delta_j^2 coefficient d_j^2 + d_j; cross terms push forward to zero.
-    kappa_weight = Fraction(a * a - a, 2)
+    # Both are products of consecutive integers, so their halves are ints.
+    kappa_weight = half(a * a - a)
     # upstairs: c1(L) = a psi_{n+1} + sum d_j Delta_j with d_j = m_j - a;
     # one psi coefficient per distinct twist m
-    psi_of = {m: Coefficient.exact(kappa_weight - Fraction((m - a) * (m - a + 1), 2))
+    psi_of = {m: Coefficient.exact(kappa_weight - half((m - a) * (m - a + 1)))
               for m in {bundle.twist, *(m for _, m in bundle.twists)}}
     return DivisorClass(
         space,

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exact import Scalar, parse_rat, rat, rat_str
+from .exact import Scalar, parse_rat, rat_str, scalar
 
 
 class PicardError(Exception):
@@ -64,22 +63,27 @@ class Coefficient:
     AtLeast(r) means "the true coefficient is >= r"; AtMost(r) the mirror.
     Addition and scaling propagate what is still known: adding opposite-sided
     bounds, or negating a one-sided bound, loses the direction.
+
+    The value is stored in the normal form of exact.scalar: an int when it is
+    integral, else a Fraction, never a float.  Every constructor, sum,
+    scaling and JSON load below normalizes, so the integral coefficients that
+    most classes carry add, scale and compare as ints.
     """
 
     kind: str  # "exact" | "at_least" | "at_most" | "unknown"
-    value: Fraction | None = None
+    value: Scalar | None = None
 
     @staticmethod
     def exact(v: Scalar) -> "Coefficient":
-        return Coefficient("exact", rat(v))
+        return Coefficient("exact", scalar(v))
 
     @staticmethod
     def at_least(v: Scalar) -> "Coefficient":
-        return Coefficient("at_least", rat(v))
+        return Coefficient("at_least", scalar(v))
 
     @staticmethod
     def at_most(v: Scalar) -> "Coefficient":
-        return Coefficient("at_most", rat(v))
+        return Coefficient("at_most", scalar(v))
 
     @property
     def is_exact(self) -> bool:
@@ -98,10 +102,10 @@ class Coefficient:
         if kinds == {"at_least", "at_most"}:
             return UNKNOWN
         kind = "exact" if kinds == {"exact"} else (kinds - {"exact"}).pop()
-        return Coefficient(kind, self.value + other.value)
+        return Coefficient(kind, scalar(self.value + other.value))
 
     def scaled(self, c: Scalar) -> "Coefficient":
-        c = rat(c)
+        c = scalar(c)
         if c == 0:
             return EXACT_ZERO
         if self.kind == "unknown":
@@ -109,7 +113,7 @@ class Coefficient:
         kind = self.kind
         if c < 0:
             kind = {"exact": "exact", "at_least": "at_most", "at_most": "at_least"}[kind]
-        return Coefficient(kind, self.value * c)
+        return Coefficient(kind, scalar(self.value * c))
 
     def __str__(self):
         if self.kind == "exact":
@@ -133,7 +137,7 @@ class Coefficient:
             (kind, text), = doc.items()
             if kind in ("exact", "at_least", "at_most"):
                 try:
-                    return Coefficient(kind, parse_rat(text))
+                    return Coefficient(kind, scalar(parse_rat(text)))
                 except (ValueError, TypeError) as e:
                     raise MalformedClassError(f"bad coefficient value: {text!r}") from e
         raise MalformedClassError(f"bad coefficient document: {doc!r}")
@@ -482,7 +486,7 @@ class DivisorClass:
         )
 
     def scale(self, c: Scalar) -> "DivisorClass":
-        c = rat(c)
+        c = scalar(c)
         return DivisorClass(
             self.space,
             lam=self.lam.scaled(c),
@@ -584,7 +588,7 @@ class TestCurve:
         object.__setattr__(self, "S", S)
 
 
-def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Fraction:
+def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Scalar:
     """Exact pairing of a divisor class with the test curve T_{i:S}.
 
     Contributions: +psi_j and +delta_{i:S+{j}} for each j outside S, and
@@ -601,6 +605,9 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Fraction:
     one member of one orbit.  For each orbit met, a walk over its explicit
     members adds those the curve meets, and the members not listed add the
     orbit value, read only when there are any.
+
+    The sums start from the int 0, so a class with integral coefficients pairs
+    in int arithmetic; the result is in the normal form of exact.scalar.
     """
     if cls.space != curve.space:
         raise SpaceMismatchError(f"{cls.space} vs {curve.space}")
@@ -608,7 +615,7 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Fraction:
     i, S = curve.i, curve.S
     s = len(S)
 
-    def exact_value(c: Coefficient, what: str) -> Fraction:
+    def exact_value(c: Coefficient, what: str) -> Scalar:
         if not c.is_exact:
             raise InsufficientInformationError(
                 f"coefficient of {what} is {c}; pairing needs an exact value"
@@ -621,7 +628,7 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Fraction:
             return (i, size)
         return (g - i, n - size)
 
-    total = Fraction(0)
+    total = 0
     at_rest = n - s
     for j, c in cls._psi.items():
         if j not in S:
@@ -660,7 +667,7 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Fraction:
             if count:
                 part += count * exact_value(value, f"delta_{{{key[0]}:|S|={key[1]}}}")
         total += weight * part
-    return total
+    return scalar(total)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,20 @@ class TestSolveCertificate:
         assert tuple(c for _, c in cert.components) == cs_want
 
     @pytest.mark.parametrize("g,n", sorted(EXPECTED))
+    def test_no_float_reaches_the_certificate(self, g, n):
+        # a and c_k come from solve_linear over Fractions; the residual's
+        # coefficients are stored as an int when integral, else a Fraction
+        cert = certify(g, n)
+        assert all(type(x) in (int, Fraction) for x in (cert.a, *(c for _, c in cert.components)))
+        res = cert.residual
+        coefficients = [res.lam, res.delta_irr, res.psi_rest,
+                        *(c for _, c in res.boundary_orbit_items()),
+                        *(c for _, c in res.boundary_items())]
+        values = [c.value for c in coefficients if c.kind != "unknown"]
+        assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
+                   for v in values)
+
+    @pytest.mark.parametrize("g,n", sorted(EXPECTED))
     def test_residual_interior_vanishes(self, g, n):
         res = certify(g, n).residual
         assert res.lam.is_zero

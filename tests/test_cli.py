@@ -415,6 +415,17 @@ PINNED_STDOUT = {
         "a65907b2cf08e1913690f9a43a8c72924b84e99aec101be4bb67cc9a7b23fcdf",
     "verify all --t-max 2":
         "57746b8fd29c4d961505461eeb5e7cd43556cbe4de9f7bbc69b2ab4780559775",
+    # text mode prints Coefficient.__str__ and DivisorClass.__repr__
+    "certify --g 16 --n 8":
+        "3ad0d2803f3f4ae80e3aeb6c7c25fe07bc98ab2458a8aeb780a650f541179f1b",
+    "certify --g 17 --n 8":
+        "2af4ac8b81d5098c6eb6692b846e8fc6dc2ef42a53d59d5f7f524eeee911e64f",
+    "class quad --t 3":
+        "0ece5dac917c96babc07b4dec7c6094aadc8eb1f0987d12b7e851ae6159158f1",
+    "class canonical --g 16 --n 8":
+        "7fd876830070b21a631881d43f5c5d8883981f21cd675270ddd612d5c931ef4c",
+    "verify grr --t-max 16":
+        "c92fa1d99d997a136bb97f272c0b4482258a2eb694c47e7685f8ef8bca2f7e75",
 }
 
 

@@ -11,6 +11,7 @@ from mgn_divisors.exact import (
     parse_rat,
     rat,
     rat_str,
+    scalar,
     solve_linear,
 )
 
@@ -58,6 +59,53 @@ class TestRat:
         assert (rat_str(True), rat_str(False)) == ("1", "0")
         with pytest.raises(TypeError):
             rat_str(1.0)
+
+
+class TestScalar:
+    @given(st.integers(-10**30, 10**30))
+    def test_int_stays_int(self, k):
+        assert type(scalar(k)) is int and scalar(k) == k
+
+    @given(rationals)
+    def test_fraction_is_int_exactly_when_integral(self, q):
+        v = scalar(q)
+        assert v == q
+        assert type(v) is (int if q.denominator == 1 else Fraction)
+
+    def test_bool_becomes_int(self):
+        assert type(scalar(True)) is int and scalar(True) == 1
+
+    @pytest.mark.parametrize("x", [0.5, 2.0, "3", None])
+    def test_rejects_non_rationals(self, x):
+        with pytest.raises(TypeError):
+            scalar(x)
+
+
+class TestQuotientsStayExact:
+    """rat() coerces to Fraction wherever a quotient is taken: int / int is a float."""
+
+    def test_solve_linear_on_an_int_system(self):
+        sol = solve_linear(LinearSystem([[2, 1], [1, 3]], [3, 5]))
+        assert sol.vector == (Fraction(4, 5), Fraction(7, 5))
+        assert all(type(x) is Fraction for x in sol.vector)
+
+    def test_solve_linear_with_an_integral_solution(self):
+        sol = solve_linear(LinearSystem([[2, 0], [0, 4]], [6, 8]))
+        assert sol.vector == (3, 2)
+        assert all(type(x) is Fraction for x in sol.vector)
+
+    def test_invert_matrix(self):
+        inv = invert_matrix([[2, 1], [1, 3]])
+        assert all(type(x) is Fraction for row in inv for x in row)
+
+    def test_poly_division_by_an_int(self):
+        p = (3 * Poly.var("x") + 1) / 2
+        assert p == Poly(("x",), {(1,): Fraction(3, 2), (0,): Fraction(1, 2)})
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert all(type(c) is Fraction for c in (Poly.const(4) / 2).terms.values())
+
+    def test_poly_eval_of_int_coefficients(self):
+        assert type((Poly.var("x") * 3).eval({"x": 2})) is Fraction
 
 
 class TestHalf:

@@ -12,6 +12,7 @@ from mgn_divisors.family import (
     b1_recurrence_rhs,
     b_from_pic12,
     balanced_pairs,
+    c1_pushforward_L2,
     d1_phi_prime,
     d1_theta,
     family_space,
@@ -19,6 +20,7 @@ from mgn_divisors.family import (
     known_b,
     quad_class,
     tilde_b,
+    tilde_recurrence_grid,
     tilde_recurrence_rhs,
     tilde_vs_known_b,
     verify_b1_recurrence,
@@ -143,6 +145,20 @@ class TestRecurrences:
         for s in range(1, n + 1):
             for i in range(0, s):
                 assert verify_tilde_recurrence(i, s, t)
+
+    @pytest.mark.parametrize("t", range(0, 9))
+    def test_grid_equals_the_per_cell_functions(self, t):
+        # the grid shares tilde_b values between rows and checks the range once;
+        # the public per-cell functions are its oracle
+        _, n = gn_pair(t)
+        want = [(i, s, d1_phi_prime(i, s, t), tilde_recurrence_rhs(i, s, t))
+                for s in range(1, n + 1) for i in range(s)]
+        assert list(tilde_recurrence_grid(t)) == want
+
+    @pytest.mark.parametrize("i,s,g", [(2, 2, 5), (3, 2, 5), (6, 9, 5), (-1, 1, 5)])
+    def test_c1_pushforward_L2_domain(self, i, s, g):
+        with pytest.raises(ValueError):
+            c1_pushforward_L2(i, s, g, 1)
 
     @pytest.mark.parametrize("s,t,expected", [
         (1, 0, 24), (1, 1, 44), (2, 1, 80),

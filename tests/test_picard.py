@@ -225,6 +225,102 @@ def simple_classes(space):
 SPACE_53 = Space(5, 3)
 
 
+def in_normal_form(c: Coefficient) -> bool:
+    """The stored value is an int exactly when it is integral, else a Fraction
+    with a denominator above 1, and never a float; Unknown stores None."""
+    v = c.value
+    if c.kind == "unknown":
+        return v is None
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
+def stored_coefficients(cls: DivisorClass):
+    """Every coefficient the class stores, in every layer."""
+    yield from (cls.lam, cls.delta_irr, cls._psi_rest, cls._rest)
+    yield from cls._psi.values()
+    yield from cls._orbits.values()
+    for members in cls._explicit.values():
+        yield from members.values()
+
+
+# integers, integral Fractions such as Fraction(4, 2), proper fractions, and bools
+exact_scalars = st.one_of(st.integers(-12, 12), st.booleans(),
+                          st.fractions(min_value=-12, max_value=12, max_denominator=6))
+any_coefficients = st.one_of(
+    exact_scalars.map(Coefficient.exact), exact_scalars.map(Coefficient.at_least),
+    exact_scalars.map(Coefficient.at_most), st.just(UNKNOWN))
+
+
+@st.composite
+def scalar_spec_classes(draw, space):
+    """Classes built from raw scalars and from Coefficients, in every layer."""
+    values = st.one_of(exact_scalars, any_coefficients)
+    orbits = list(boundary_orbits(space))
+    indices = list(all_canonical_indices(space))
+    return DivisorClass(
+        space,
+        lam=draw(values),
+        psi=draw(st.dictionaries(st.sampled_from(list(space.labels)), values)),
+        psi_rest=draw(values),
+        delta_irr=draw(values),
+        boundary_sym=draw(st.dictionaries(st.sampled_from(orbits), values, max_size=4)),
+        boundary=draw(st.dictionaries(st.sampled_from(indices), values, max_size=4)),
+        boundary_rest=draw(values),
+    )
+
+
+class TestScalarNormalForm:
+    """Every stored coefficient value is in the normal form of exact.scalar."""
+
+    @given(exact_scalars)
+    def test_constructors(self, x):
+        for make in (Coefficient.exact, Coefficient.at_least, Coefficient.at_most):
+            c = make(x)
+            assert in_normal_form(c) and c.value == x
+
+    @given(any_coefficients, any_coefficients, exact_scalars)
+    def test_sum_and_scaling(self, a, b, k):
+        assert in_normal_form(a + b)
+        assert in_normal_form(a.scaled(k))
+
+    def test_integral_results_are_ints(self):
+        half_ = Coefficient.exact(Fraction(1, 2))
+        assert type((half_ + half_).value) is int
+        assert type(Coefficient.at_least(Fraction(3, 2)).scaled(Fraction(-2, 3)).value) is int
+        assert type(Coefficient.exact(Fraction(6, 3)).value) is int
+
+    @given(st.integers(-40, 40), st.integers(1, 6),
+           st.sampled_from(["exact", "at_least", "at_most"]))
+    def test_from_json(self, p, q, kind):
+        c = Coefficient.from_json({kind: f"{p}/{q}"})
+        assert in_normal_form(c) and c.value == Fraction(p, q)
+        assert in_normal_form(Coefficient.from_json({kind: str(p)}))
+
+    @given(scalar_spec_classes(SPACE_53), scalar_spec_classes(SPACE_53), exact_scalars)
+    @settings(max_examples=40)
+    def test_class_construction_add_and_scale(self, a, b, k):
+        for cls in (a, a.add(b), a.scale(k), a.scale(k).add(b.scale(k))):
+            assert all(map(in_normal_form, stored_coefficients(cls)))
+
+    def test_integral_class_results_are_ints(self):
+        cls = DivisorClass(SPACE_53, lam=Fraction(1, 2), psi=Fraction(3, 2),
+                           boundary_sym={(1, 1): Fraction(-5, 2)})
+        doubled = cls.scale(2)
+        assert [type(c.value) for c in stored_coefficients(doubled)] == [int] * 5
+        assert type(cls.add(cls).lam.value) is int
+
+    @pytest.mark.parametrize("make", [
+        lambda: Coefficient.exact(0.5),
+        lambda: Coefficient.at_most(-1.0),
+        lambda: Coefficient.exact(1).scaled(0.5),
+        lambda: DivisorClass(SPACE_53, lam=1.5),
+        lambda: DivisorClass(SPACE_53, lam=1).scale(2.0),
+    ])
+    def test_floats_rejected(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+
 class TestDivisorClass:
     def test_orbit_layer_resolves_mirrors(self):
         cls = DivisorClass(SPACE_53, boundary_sym={(1, 2): 7})
