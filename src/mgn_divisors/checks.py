@@ -5,12 +5,14 @@ Each record is {"op", "inputs", "lhs", "rhs", "pass"} with all values
 serialized as canonical rational strings, so reports are byte-stable.  Every
 check_* is a generator that yields its records as it computes them, so a
 sweep holds no record list and a caller can write each record and drop it.
+`record_renderer` writes records in the canonical JSON of picard.CANONICAL_JSON.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .certificates import perturbation_sound
 from .exact import Poly, rat_str
@@ -32,7 +34,7 @@ from .family import (
     verify_tilde_recurrence,
 )
 from .grr import c1_pushforward, porteous_equal_rank, total_boundary, uniform_bundle
-from .picard import DivisorClass
+from .picard import CANONICAL_JSON, DivisorClass
 from .presets import averaged_class, bn5_pullback, certify, quad3_pullback
 
 
@@ -48,6 +50,47 @@ def _fmt(x) -> str:
 
 def record(op: str, inputs: dict, lhs, rhs) -> dict:
     return {"op": op, "inputs": inputs, "lhs": _fmt(lhs), "rhs": _fmt(rhs), "pass": lhs == rhs}
+
+
+def record_renderer():
+    """A function that renders a record, {"op", "inputs", "lhs", "rhs", "pass"}
+    with string op, lhs and rhs, to the text CANONICAL_JSON.encode(record)
+    gives, byte for byte.
+
+    The row format of each (op, input keys in record order) is compiled once:
+    keys in sorted order, as sort_keys puts them, and strings escaped by the
+    encoder's own function.  An int input is written as it prints; any other
+    input value, such as a list, goes through CANONICAL_JSON itself, and so
+    does a `pass` that is not a bool.
+    """
+    encode, string = CANONICAL_JSON.encode, encode_basestring_ascii
+    formats = {}  # (op, *input keys in record order) -> (row format, input order)
+
+    def literal(x):  # a JSON string that %-formatting leaves as it is
+        return string(x).replace("%", "%%")
+
+    def compile_format(op, keys):
+        names = sorted(keys)
+        fields = ",".join(literal(k) + ":%s" for k in names)
+        row = '{"inputs":{' + fields + '},"lhs":%s,"op":' + literal(op) + ',"pass":%s,"rhs":%s}'
+        # None: the record's own order is sorted, so its values() need no reordering
+        return row, None if names == list(keys) else names
+
+    def render(r):
+        inputs = r["inputs"]
+        key = (r["op"], *inputs)
+        fmt = formats.get(key)
+        if fmt is None:
+            fmt = formats[key] = compile_format(key[0], key[1:])
+        row, order = fmt
+        values = inputs.values() if order is None else map(inputs.__getitem__, order)
+        ok = r["pass"]
+        return row % (*[v if type(v) is int else encode(v) for v in values],
+                      string(r["lhs"]),
+                      "true" if ok is True else "false" if ok is False else encode(ok),
+                      string(r["rhs"]))
+
+    return render
 
 
 def check_table(t_max: int = 6):

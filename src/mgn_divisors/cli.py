@@ -128,25 +128,28 @@ def verify(suite, t_max, as_json):
     """Run a verification sweep and report structured pass/fail records.
 
     Records are written in batches as the sweep yields them and counted as
-    they pass, so memory does not grow with the record count.  The JSON
-    document is the one json.dumps would write for the whole report:
-    "records" sorts before "summary".  If the sweep raises, the records it
-    yielded are written, then its traceback on stderr, and the exit code is 3.
+    they pass, so memory does not grow with the record count.  Each JSON
+    record is rendered by checks.record_renderer, and the JSON document is
+    the one json.dumps would write for the whole report: "records" sorts
+    before "summary".  If the sweep raises, the records it yielded are
+    written, then its traceback on stderr, and the exit code is 3.
     """
     sweep = checks.check_all(t_max) if suite == "all" else checks.SUITES[suite](t_max)
     errors = []
     records = _until_error(sweep, errors)
-    encode = CANONICAL_JSON.encode
+    render = checks.record_renderer()
     total = failed = 0
     if as_json:
         click.echo('{"records":[', nl=False)
     while batch := list(islice(records, _BATCH)):
         if as_json:
-            click.echo(("," if total else "") + encode(batch)[1:-1], nl=False)
+            text = ("," if total else "") + ",".join(map(render, batch))
         else:
-            click.echo("\n".join(map(_text_line, batch)))
+            text = "\n".join(map(_text_line, batch))
         total += len(batch)
         failed += sum(not r["pass"] for r in batch)
+        del batch  # so that it is freed before the next batch is built
+        click.echo(text, nl=not as_json)
     if errors:
         import traceback  # only on this path: a cold start does not pay for it
 
@@ -154,7 +157,7 @@ def verify(suite, t_max, as_json):
         raise SystemExit(3)
     summary = {"total": total, "passed": total - failed, "failed": failed, "all_pass": not failed}
     if as_json:
-        click.echo('],"summary":' + encode(summary) + "}")
+        click.echo('],"summary":' + CANONICAL_JSON.encode(summary) + "}")
     else:
         click.echo(f"{summary['passed']}/{total} checks passed")
     raise SystemExit(0 if summary["all_pass"] else 1)

@@ -8,6 +8,11 @@ pairings keep it, so integral arithmetic runs on ints, which are far cheaper
 than Fractions.  `rat` still coerces to Fraction where a quotient is taken, in
 `Poly` coefficients and in `solve_linear`: there `int / int` would be a float.
 Rationals serialize as "p/q" strings, or "p" when integral, never as floats.
+
+`Poly` arithmetic builds its results in canonical order: sums start from the
+first coefficient rather than a zero seed, operands over the same variables
+are not remapped, and a result only has its zero terms and unused variables
+dropped, not a second sort.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 
 Scalar = int | Fraction
@@ -80,41 +86,60 @@ class Poly:
     """Multivariate polynomial with exact rational coefficients over named variables.
 
     Canonical form: variable names sorted, variables that do not occur are
-    dropped, no zero terms.  Equality is therefore decidable by direct
-    comparison of the term maps.  Instances are immutable.
+    dropped, no zero terms, every coefficient a Fraction.  Equality is
+    therefore decidable by direct comparison of the term maps.  Instances are
+    immutable.  The constructor accepts any variable order and int or Fraction
+    coefficients; the arithmetic goes through `_canonical` instead.
     """
 
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables=(), terms=None):
         variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"repeated variable name in {variables}")
         raw = {}
         for expo, coef in (terms or {}).items():
             expo = tuple(expo)
             if len(expo) != len(variables):
                 raise ValueError("exponent vector length does not match variables")
             coef = rat(coef)
-            if coef:
-                raw[expo] = raw.get(expo, Fraction(0)) + coef
-        raw = {e: c for e, c in raw.items() if c}
-        used = [k for k in range(len(variables)) if any(e[k] for e in raw)]
-        names = sorted(variables[k] for k in used)
-        order = [variables.index(nm) for nm in names]
-        object.__setattr__(self, "variables", tuple(names))
-        object.__setattr__(
-            self, "terms", {tuple(e[k] for k in order): c for e, c in raw.items()}
-        )
+            raw[expo] = raw[expo] + coef if expo in raw else coef
+        names = tuple(sorted(variables))
+        if names != variables:
+            order = [variables.index(nm) for nm in names]
+            raw = {tuple(e[k] for k in order): c for e, c in raw.items()}
+        self._set_canonical(names, raw)
+
+    def _set_canonical(self, names, terms):
+        """Store `terms`, Fraction coefficients keyed by exponent tuples over the
+        sorted `names`, without the zero terms and the variables no term uses."""
+        terms = {e: c for e, c in terms.items() if c}
+        used = [k for k in range(len(names)) if any(e[k] for e in terms)]
+        if len(used) < len(names):
+            names = tuple(names[k] for k in used)
+            terms = {tuple(e[k] for k in used): c for e, c in terms.items()}
+        object.__setattr__(self, "variables", names)
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def _canonical(cls, names, terms) -> "Poly":
+        """The Poly of `terms` over sorted `names`, as `_set_canonical` stores it:
+        for results that are already in sorted variable order."""
+        p = object.__new__(cls)
+        p._set_canonical(names, terms)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls((name,), {(1,): Fraction(1)})
+        return cls._canonical((name,), {(1,): Fraction(1)})
 
     @classmethod
     def const(cls, c: Scalar) -> "Poly":
-        return cls((), {(): rat(c)} if c else {})
+        return cls._canonical((), {(): rat(c)})
 
     @property
     def is_constant(self) -> bool:
@@ -126,9 +151,14 @@ class Poly:
         return self.terms.get((), Fraction(0))
 
     def _aligned(self, other: "Poly"):
+        """Both term maps over one sorted variable tuple; a map already over it is not remapped."""
+        if self.variables == other.variables:
+            return self.variables, self.terms, other.terms
         names = tuple(sorted(set(self.variables) | set(other.variables)))
 
         def remap(p):
+            if p.variables == names:
+                return p.terms
             idx = [p.variables.index(nm) if nm in p.variables else None for nm in names]
             return {
                 tuple(e[k] if k is not None else 0 for k in idx): c
@@ -141,7 +171,7 @@ class Poly:
     def _coerce(x) -> "Poly":
         if isinstance(x, Poly):
             return x
-        return Poly.const(rat(x))
+        return Poly.const(x)
 
     def __add__(self, other):
         try:
@@ -151,13 +181,13 @@ class Poly:
         names, a, b = self._aligned(other)
         out = dict(a)
         for e, c in b.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly(names, out)
+            out[e] = out[e] + c if e in out else c
+        return Poly._canonical(names, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()})
+        return Poly._canonical(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         try:
@@ -177,9 +207,10 @@ class Poly:
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly(names, out)
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                out[e] = out[e] + c if e in out else c
+        return Poly._canonical(names, out)
 
     __rmul__ = __mul__
 
@@ -187,13 +218,15 @@ class Poly:
         c = rat(other)
         if not c:
             raise ZeroDivisionError("division of Poly by zero")
-        return Poly(self.variables, {e: v / c for e, v in self.terms.items()})
+        return Poly._canonical(self.variables, {e: v / c for e, v in self.terms.items()})
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("Poly exponent must be a non-negative integer")
-        out = Poly.const(1)
-        for _ in range(k):
+        if k == 0:
+            return Poly.const(1)
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 

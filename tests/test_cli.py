@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
 import mgn_divisors
 from mgn_divisors import checks, cli
 from mgn_divisors.cli import main
+from mgn_divisors.picard import CANONICAL_JSON
 
 
 @pytest.fixture()
@@ -115,6 +117,39 @@ class TestVerify:
     def test_unknown_suite(self, runner):
         result = runner.invoke(main, ["verify", "everything"])
         assert result.exit_code == 2
+
+
+# strings that JSON escapes, that %-formatting reads, and non-ASCII text
+_texts = (st.text(st.sampled_from('"\\%s/\n\x00\x7fé€𝔐a'), max_size=6)
+          | st.text(max_size=6))
+_records = st.fixed_dictionaries({
+    "op": st.sampled_from(["balance_grid", "%s", '%"\\é']) | _texts,
+    # keys drawn in any order, so the record's own order is often unsorted
+    "inputs": st.lists(
+        st.tuples(st.sampled_from(["t_max", "failures", "i", "s", "%s", 'é"\\']) | _texts,
+                  st.integers() | st.booleans() | st.lists(st.integers(), max_size=3) | _texts),
+        max_size=4, unique_by=lambda kv: kv[0]).map(dict),
+    "lhs": _texts,
+    "rhs": _texts,
+    "pass": st.booleans() | st.integers(0, 1),
+})
+
+
+class TestRecordRenderer:
+    """checks.record_renderer writes each record as CANONICAL_JSON.encode does."""
+
+    @pytest.mark.parametrize("suite,t_max", [("all", 8), ("recurrences", 11)])
+    def test_every_sweep_record(self, suite, t_max):
+        sweep = checks.check_all(t_max) if suite == "all" else checks.SUITES[suite](t_max)
+        render = checks.record_renderer()
+        for r in sweep:
+            assert render(r) == CANONICAL_JSON.encode(r)
+
+    @given(st.lists(_records, min_size=1, max_size=6))
+    def test_synthetic_records(self, records):
+        render = checks.record_renderer()
+        for r in records + records:  # the second pass reads every row format back
+            assert render(r) == CANONICAL_JSON.encode(r)
 
 
 class TestVerifyStream:

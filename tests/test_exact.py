@@ -173,6 +173,44 @@ class TestPoly:
             c == d for c, d in zip(cs, ds)))
 
 
+# Polys built through the constructor, over variables given in any order,
+# with int or Fraction coefficients
+polys = st.lists(st.sampled_from("stx"), unique=True, max_size=3).flatmap(
+    lambda names: st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * len(names)),
+        st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4),
+        max_size=4,
+    ).map(lambda terms: Poly(names, terms)))
+
+
+def _assert_canonical(p):
+    """p is what the full constructor makes of its own variables and terms."""
+    rebuilt = Poly(p.variables, p.terms)
+    assert (p.variables, p.terms) == (rebuilt.variables, rebuilt.terms)
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+class TestPolyCanonicalForm:
+    """Arithmetic builds results that are already canonical; the constructor agrees."""
+
+    @given(polys, polys, st.integers(0, 3))
+    def test_results_are_canonical(self, p, q, k):
+        for r in (p + q, p - q, p * q, -p, p ** k, half(p), p + 1, 2 - p, 3 * p,
+                  Fraction(1, 3) * p):
+            _assert_canonical(r)
+
+    def test_repeated_variable_name_rejected(self):
+        with pytest.raises(ValueError, match="repeated variable"):
+            Poly(("x", "x"), {(1, 0): 1, (0, 1): 1})
+
+    def test_cancellation_drops_variables(self):
+        s, t = Poly.var("s"), Poly.var("t")
+        assert t - t == Poly.const(0) and (t - t).variables == ()
+        assert (s * t + t - s * t).variables == ("t",)
+        diff = (t + 1) * (t - 1) - t ** 2
+        assert diff == Poly.const(-1) and diff.variables == ()
+
+
 square_systems = st.integers(1, 4).flatmap(
     lambda n: st.tuples(
         st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n),
