@@ -102,15 +102,6 @@ def pullback(preset, as_json):
 _BATCH = 1024
 
 
-def _text_line(r) -> str:
-    status = "PASS" if r["pass"] else "FAIL"
-    inputs = " ".join(f"{k}={v}" for k, v in r["inputs"].items())
-    line = f"{status} {r['op']} {inputs}".rstrip()
-    if not r["pass"]:
-        line += f"  lhs={r['lhs']} rhs={r['rhs']}"
-    return line
-
-
 def _until_error(records, errors):
     """The records of a sweep up to the first exception it raises, which is
     appended to `errors` instead of propagating."""
@@ -128,26 +119,25 @@ def verify(suite, t_max, as_json):
     """Run a verification sweep and report structured pass/fail records.
 
     Records are written in batches as the sweep yields them and counted as
-    they pass, so memory does not grow with the record count.  Each JSON
-    record is rendered by checks.record_renderer, and the JSON document is
-    the one json.dumps would write for the whole report: "records" sorts
+    they pass, so memory does not grow with the record count.  Each record
+    is written by checks.json_row or checks.text_row, and the JSON document
+    is the one json.dumps would write for the whole report: "records" sorts
     before "summary".  If the sweep raises, the records it yielded are
     written, then its traceback on stderr, and the exit code is 3.
     """
     sweep = checks.check_all(t_max) if suite == "all" else checks.SUITES[suite](t_max)
     errors = []
     records = _until_error(sweep, errors)
-    render = checks.record_renderer()
     total = failed = 0
     if as_json:
         click.echo('{"records":[', nl=False)
     while batch := list(islice(records, _BATCH)):
         if as_json:
-            text = ("," if total else "") + ",".join(map(render, batch))
+            text = ("," if total else "") + ",".join(map(checks.json_row, batch))
         else:
-            text = "\n".join(map(_text_line, batch))
+            text = "\n".join(map(checks.text_row, batch))
         total += len(batch)
-        failed += sum(not r["pass"] for r in batch)
+        failed += sum(not r[4] for r in batch)
         del batch  # so that it is freed before the next batch is built
         click.echo(text, nl=not as_json)
     if errors:

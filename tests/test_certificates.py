@@ -271,7 +271,7 @@ class TestSolveCertificate:
             monkeypatch.setattr(module, "canonical_class", counting, raising=False)
         records = list(checks.check_certificates())
         assert built == [(16, 8), (17, 8), (12, 10)]
-        assert len(records) == 9 and all(r["pass"] for r in records)
+        assert len(records) == 9 and all(ok for *_, ok in records)
 
     def test_certificate_keeps_its_canonical_class_and_inputs(self):
         cert = certify(17, 8)

@@ -122,34 +122,60 @@ class TestVerify:
 # strings that JSON escapes, that %-formatting reads, and non-ASCII text
 _texts = (st.text(st.sampled_from('"\\%s/\n\x00\x7fé€𝔐a'), max_size=6)
           | st.text(max_size=6))
-_records = st.fixed_dictionaries({
-    "op": st.sampled_from(["balance_grid", "%s", '%"\\é']) | _texts,
-    # keys drawn in any order, so the record's own order is often unsorted
-    "inputs": st.lists(
-        st.tuples(st.sampled_from(["t_max", "failures", "i", "s", "%s", 'é"\\']) | _texts,
-                  st.integers() | st.booleans() | st.lists(st.integers(), max_size=3) | _texts),
-        max_size=4, unique_by=lambda kv: kv[0]).map(dict),
-    "lhs": _texts,
-    "rhs": _texts,
-    "pass": st.booleans() | st.integers(0, 1),
-})
+# keys drawn in any order, so an op's declared order is often unsorted
+_ops = st.builds(
+    lambda name, keys: checks.Op(name, *keys),
+    st.sampled_from(["balance_grid", "%s", '%"\\é']) | _texts,
+    st.lists(st.sampled_from(["t_max", "failures", "i", "s", "%s", 'é"\\']) | _texts,
+             max_size=4, unique=True))
+_values = st.integers() | st.booleans() | st.lists(st.integers(), max_size=3) | _texts
+_records = _ops.flatmap(lambda op: st.builds(
+    checks.record, st.just(op), st.tuples(*[_values] * len(op.keys)), _texts, _texts,
+    st.booleans()))
 
 
-class TestRecordRenderer:
-    """checks.record_renderer writes each record as CANONICAL_JSON.encode does."""
+def _record_dict(r):
+    op, values, lhs, rhs, ok = r
+    return {"op": op.name, "inputs": dict(zip(op.keys, values)), "lhs": lhs, "rhs": rhs,
+            "pass": ok}
+
+
+def _reference_text(r):
+    """The reference text line of a record, formatted from its dict."""
+    d = _record_dict(r)
+    status = "PASS" if d["pass"] else "FAIL"
+    inputs = " ".join(f"{k}={v}" for k, v in d["inputs"].items())
+    line = f"{status} {d['op']} {inputs}".rstrip()
+    if not d["pass"]:
+        line += f"  lhs={d['lhs']} rhs={d['rhs']}"
+    return line
+
+
+class TestRecordRows:
+    """checks.json_row writes each record as CANONICAL_JSON.encode writes its
+    dict, and checks.text_row as the reference line."""
 
     @pytest.mark.parametrize("suite,t_max", [("all", 8), ("recurrences", 11)])
     def test_every_sweep_record(self, suite, t_max):
         sweep = checks.check_all(t_max) if suite == "all" else checks.SUITES[suite](t_max)
-        render = checks.record_renderer()
         for r in sweep:
-            assert render(r) == CANONICAL_JSON.encode(r)
+            assert checks.json_row(r) == CANONICAL_JSON.encode(_record_dict(r))
+            assert checks.text_row(r) == _reference_text(r)
 
     @given(st.lists(_records, min_size=1, max_size=6))
-    def test_synthetic_records(self, records):
-        render = checks.record_renderer()
-        for r in records + records:  # the second pass reads every row format back
-            assert render(r) == CANONICAL_JSON.encode(r)
+    def test_synthetic_json_rows(self, records):
+        for r in records:
+            assert checks.json_row(r) == CANONICAL_JSON.encode(_record_dict(r))
+
+    @given(st.lists(_records, min_size=1, max_size=6))
+    def test_synthetic_text_rows(self, records):
+        for r in records:
+            assert checks.text_row(r) == _reference_text(r)
+
+    @given(st.integers(0, 1) | _texts)
+    def test_pass_is_a_bool(self, ok):
+        with pytest.raises(TypeError):
+            checks.record(checks.Op("injected", "t"), (0,), "1", "1", ok)
 
 
 class TestVerifyStream:
@@ -164,7 +190,7 @@ class TestVerifyStream:
         def failing(t_max):
             records = sweep(t_max)
             yield next(records)
-            yield checks.record("injected", {"t": 0}, 1, 2)
+            yield checks.record(checks.Op("injected", "t"), (0,), 1, 2)
             yield from records
 
         monkeypatch.setattr(checks, "check_grr", failing)
@@ -200,8 +226,7 @@ class TestVerifyStream:
     def test_internal_error_json(self, runner, grr_that_raises):
         result = runner.invoke(main, ["verify", "grr", "--t-max", "1", "--json"])
         assert result.exit_code == 3
-        record = json.dumps(checks.record("grr_once_twisted", {"t": 0}, True, True),
-                            sort_keys=True, separators=(",", ":"))
+        record = '{"inputs":{"t":0},"lhs":"1","op":"grr_once_twisted","pass":true,"rhs":"1"}'
         assert result.stdout == '{"records":[' + record
         assert "RuntimeError: injected internal error" in result.stderr
 

@@ -183,17 +183,17 @@ class TestRecurrences:
         records = list(checks.check_recurrences(3))  # a sweep is a generator: read it once
         assert built == [0, 1, 2, 3]
         assert len(records) == 5 + sum(n * (n + 1) // 2 + 4 * n for n in (1, 3, 6, 10))
-        assert all(r["pass"] for r in records)
+        assert all(ok for *_, ok in records)
 
     def test_recurrence_sweep_pairs_without_canonicalizing(self, canonical_index_calls):
         # the pairing reads the boundary per orbit: the member-by-member sum made
         # n - s + 1 canonical_index calls per pairing (840 here)
         calls = canonical_index_calls()
         records = list(checks.check_recurrences(6))  # a sweep is a generator: read it once
-        pairings = sum(r["op"] == "b1_recurrence_pairing" for r in records)
+        pairings = sum(op.name == "b1_recurrence_pairing" for op, *_ in records)
         assert pairings == sum(gn_pair(t)[1] for t in range(7)) == 84
         assert len(calls) <= pairings
-        assert all(r["pass"] for r in records)
+        assert all(ok for *_, ok in records)
 
     def test_b1_recurrence_domain(self):
         with pytest.raises(ValueError):
