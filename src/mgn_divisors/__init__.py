@@ -28,6 +28,7 @@ from .picard import (
     InsufficientInformationError,
     MalformedClassError,
     PicardError,
+    Row,
     Space,
     SpaceMismatchError,
     TestCurve,
@@ -64,6 +65,7 @@ __all__ = [
     "MalformedClassError",
     "PicardError",
     "Poly",
+    "Row",
     "Space",
     "SpaceMismatchError",
     "TailAttachment",

@@ -20,16 +20,17 @@ skip a Poly because it has no order.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from .exact import Poly, Scalar, half, invert_matrix
 from .picard import (
     Coefficient,
     DivisorClass,
+    Row,
     Space,
     TestCurve,
-    boundary_orbits,
     intersect_test_curve,
 )
-from .pullbacks import pic12_reduce
 
 
 def _ordered(*xs) -> bool:
@@ -116,28 +117,27 @@ def known_b(i, s, t):
 def quad_class(t: int) -> DivisorClass:
     """The family class on (g(t), n(t)) as a DivisorClass.
 
-    Boundary entries with i in {0, 1} carry the exact closed forms (keyed to
-    the canonical (i, |S|), so mirrored representatives resolve through
-    canonicalization).  Entries with 2 <= i <= g/2 are only bounded: the
+    Rows 0 and 1 carry the exact closed forms, each stored as one formula in
+    s: -b0(s, t) = -((t+1) s^2 + (t-1) s) / 2 and -b1(s, t) =
+    -((t+1) s^2 - (t-1) s + 6) / 2, with the one exception b_{1:0} = t+4 as
+    an orbit entry.  Mirrored representatives resolve through
+    canonicalization.  Rows with 2 <= i <= g/2 are only bounded: the
     subtracted multiplicity is >= 1, stored as the boundary rest AtMost(-1).
     The t=0 class is the pullback of the classical genus-5 Brill-Noether
     divisor and is fully known, so its i=2 entries are Exact(-6).  That rest
     is typed here on purpose, not read from bn_class(5): it is the independent
     value that check_pullbacks compares with the forgetful pullback of
-    bn_class(5).
+    bn_class(5).  Whatever t is, the class stores at most three boundary
+    entries.
     """
-    space = family_space(t)
-    sym = {}
-    for (i, s) in boundary_orbits(space):  # ordered by i: only rows 0 and 1 are listed
-        if i > 1:
-            break
-        sym[(i, s)] = Coefficient.exact(-b0(s, t) if i == 0 else -b1(s, t))
     return DivisorClass(
-        space,
+        family_space(t),
         lam=8 - t,
         psi=t,
         delta_irr=-1,
-        boundary_sym=sym,
+        boundary_rows={0: Row.formula("exact", (0, 1 - t, -t - 1), 2),
+                       1: Row.formula("exact", (-6, t - 1, -t - 1), 2)},
+        boundary_sym={(1, 0): -(t + 4)},
         # classical BN^1_{5,3} value at t = 0
         boundary_rest=Coefficient.exact(-6) if t == 0 else Coefficient.at_most(-1),
     )
@@ -275,6 +275,26 @@ def b1_pairing_via_class(q: DivisorClass, s: int) -> Scalar:
 
 # ---------------------------------------------------------------------------
 # the Pic(genus-1, 2-pointed) reduction
+
+
+_PIC12_GENERATORS = ("lambda", "psi_p", "psi_q", "delta_irr", "delta_0")
+
+
+def pic12_reduce(expr: Mapping):
+    """Reduce a combination of {lambda, psi_p, psi_q, delta_irr, delta_0} on
+    the 2-pointed genus-1 space to the basis {lambda, delta_0}.
+
+    Relations: 12 lambda = delta_irr and psi_p = psi_q = lambda + delta_0.
+    Returns the pair of reduced coefficients; values may be exact rationals or
+    Poly for symbolic statements.
+    """
+    unknown = set(expr) - set(_PIC12_GENERATORS)
+    if unknown:
+        raise ValueError(f"unknown generator(s): {sorted(unknown)}")
+    c = {name: expr.get(name, 0) for name in _PIC12_GENERATORS}
+    lam = c["lambda"] + 12 * c["delta_irr"] + c["psi_p"] + c["psi_q"]
+    delta = c["psi_p"] + c["psi_q"] + c["delta_0"]
+    return lam, delta
 
 
 def b_from_pic12(t):

@@ -12,22 +12,27 @@ literature) and delta_i as the (i, 0) orbit for 1 <= i <= g/2.
 
 Every family of coefficients is stored as a layer: one rest coefficient
 shared by all its keys, plus the keys whose coefficient differs from it.  psi
-is one layer over the labels 1..n.  The boundary is one layer over the
-canonical (i, |S|) orbits, and each orbit is itself a layer over its member
-indices, with the orbit's value as the rest.  One rule compares two layers
-and one rule adds them, at every level.  This is what makes large spaces
+is one layer over the labels 1..n.  The boundary has four levels: rest ->
+row i -> orbit (i, |S|) -> member index.  The rest is shared by every row
+that is not listed; a listed row is a Row, one coefficient kind and one
+formula in s, such as the family's -b0(s, t); an orbit entry is an exception
+to its row, such as b_{1:0} = t+4; and an explicit member is an exception to
+its orbit.  One rule compares two layers and one rule adds them, at every
+level; where two row formulas differ, equality reads that row's unlisted
+orbits one by one, so it always decides.  This is what makes large spaces
 (n up to 153 in the benchmark sweep, 861 at t = 40) tractable: every class
 this package constructs has one psi coefficient and is label-symmetric on the
-boundary, and most share one coefficient on all but a few orbits, so
-arithmetic costs O(listed keys), not O(all orbits) or O(n).
+boundary, and its rows are constants or low-degree formulas in s with a few
+exceptions, so arithmetic costs O(listed keys), not O(all orbits) or O(n).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from fractions import Fraction
+from itertools import combinations, zip_longest
+from math import comb, gcd
 
 from .exact import Scalar, parse_rat, rat_str, scalar
 
@@ -96,12 +101,9 @@ class Coefficient:
     def __add__(self, other: "Coefficient") -> "Coefficient":
         if not isinstance(other, Coefficient):
             return NotImplemented
-        if self.kind == "unknown" or other.kind == "unknown":
+        kind = _sum_kind(self.kind, other.kind)
+        if kind == "unknown":
             return UNKNOWN
-        kinds = {self.kind, other.kind}
-        if kinds == {"at_least", "at_most"}:
-            return UNKNOWN
-        kind = "exact" if kinds == {"exact"} else (kinds - {"exact"}).pop()
         return Coefficient(kind, scalar(self.value + other.value))
 
     def scaled(self, c: Scalar) -> "Coefficient":
@@ -110,10 +112,7 @@ class Coefficient:
             return EXACT_ZERO
         if self.kind == "unknown":
             return UNKNOWN
-        kind = self.kind
-        if c < 0:
-            kind = {"exact": "exact", "at_least": "at_most", "at_most": "at_least"}[kind]
-        return Coefficient(kind, scalar(self.value * c))
+        return Coefficient(_scaled_kind(self.kind, c), scalar(self.value * c))
 
     def __str__(self):
         if self.kind == "exact":
@@ -143,6 +142,22 @@ class Coefficient:
         raise MalformedClassError(f"bad coefficient document: {doc!r}")
 
 
+def _sum_kind(a: str, b: str) -> str:
+    """The kind of a sum: a bound keeps its direction when added to an exact
+    value or a bound of the same side; opposite sides, or Unknown, give Unknown."""
+    if a == b or b == "exact":
+        return a
+    return b if a == "exact" else "unknown"
+
+
+_FLIPPED = {"exact": "exact", "at_least": "at_most", "at_most": "at_least"}
+
+
+def _scaled_kind(kind: str, c: Scalar) -> str:
+    """The kind of a known coefficient times a non-zero c: a negative c flips a bound."""
+    return _FLIPPED[kind] if c < 0 else kind
+
+
 EXACT_ZERO = Coefficient.exact(0)
 UNKNOWN = Coefficient("unknown", None)
 
@@ -152,6 +167,83 @@ def coeff(x) -> Coefficient:
     if isinstance(x, Coefficient):
         return x
     return Coefficient.exact(x)
+
+
+@dataclass(frozen=True)
+class Row:
+    """One coefficient kind and one formula in s, for a whole boundary row.
+
+    The value at s is Coefficient(kind, (num[0] + num[1] s + num[2] s^2 + ...)
+    / den), evaluated by Horner in ints, so reading a row costs what int
+    arithmetic costs.  The stored form is normal (`Row.formula` builds it):
+    den > 0 and coprime to the numerator's content, no trailing zero in num,
+    and an Unknown row stores no formula.  Two rows are equal exactly when
+    their formulas are; sums and scalings act on the formulas and agree with
+    Coefficient arithmetic at every s.
+    """
+
+    kind: str
+    num: tuple = ()
+    den: int = 1
+
+    @staticmethod
+    def formula(kind: str, num, den: int = 1) -> "Row":
+        """The normal row of kind `kind` with value sum(num[k] s^k) / den."""
+        if kind == "unknown":
+            return UNKNOWN_ROW
+        if kind not in _FLIPPED:
+            raise ValueError(f"bad coefficient kind {kind!r}")
+        num = list(num)
+        if not all(type(x) is int for x in (*num, den)):
+            raise TypeError(f"a row formula takes ints, got {num!r} / {den!r}")
+        if den == 0:
+            raise ZeroDivisionError("row formula with denominator 0")
+        while num and not num[-1]:
+            num.pop()
+        common = gcd(den, *num) * (1 if den > 0 else -1)
+        return Row(kind, tuple(x // common for x in num), den // common)
+
+    @staticmethod
+    def const(c: Coefficient) -> "Row":
+        """The row whose value is c at every s."""
+        if c.kind == "unknown":
+            return UNKNOWN_ROW
+        value = c.value
+        if type(value) is int:
+            return Row(c.kind, (value,) if value else ())
+        return Row(c.kind, (value.numerator,), value.denominator)
+
+    def at(self, s: int) -> Coefficient:
+        if self.kind == "unknown":
+            return UNKNOWN
+        v = 0
+        for c in reversed(self.num):
+            v = v * s + c
+        if self.den != 1:
+            q, r = divmod(v, self.den)
+            v = Fraction(v, self.den) if r else q
+        return Coefficient(self.kind, v)
+
+    def __add__(self, other: "Row") -> "Row":
+        kind = _sum_kind(self.kind, other.kind)
+        if kind == "unknown":
+            return UNKNOWN_ROW
+        a, b = self.den, other.den
+        return Row.formula(kind, [x * b + y * a for x, y in
+                                  zip_longest(self.num, other.num, fillvalue=0)], a * b)
+
+    def scaled(self, c: Scalar) -> "Row":
+        c = scalar(c)
+        if c == 0:
+            return ZERO_ROW
+        if self.kind == "unknown":
+            return UNKNOWN_ROW
+        p, q = (c, 1) if type(c) is int else (c.numerator, c.denominator)
+        return Row.formula(_scaled_kind(self.kind, c), [x * p for x in self.num], self.den * q)
+
+
+ZERO_ROW = Row("exact")
+UNKNOWN_ROW = Row("unknown")
 
 
 # ---------------------------------------------------------------------------
@@ -250,32 +342,32 @@ def _split_by_label_1(space: Space, i: int) -> bool:
     return 2 * i == space.g and space.n > 0
 
 
+def _row_start(space: Space, i: int) -> int:
+    """The least s of an orbit (i, s) of row i, for 0 <= i <= g/2: the row's
+    orbits are its s from there to n.  A genus-0 tail needs two labels, the
+    canonical members of a split row contain label 1, and every other row
+    starts at s = 0 (the genus-(g-i) side has genus >= 1)."""
+    return 2 if i == 0 else 1 if _split_by_label_1(space, i) else 0
+
+
 def is_orbit(space: Space, i: int, s: int) -> bool:
     """Whether (i, s) keys a canonical boundary orbit: 0 <= i <= g/2 and
     0 <= s <= n with a stable split, and s >= 1 when i = g/2 and n >= 1 (the
     canonical representative there contains label 1)."""
-    g, n = space.g, space.n
-    return (0 <= 2 * i <= g and 0 <= s <= n and _stable_split(g, n, i, s)
-            and not (_split_by_label_1(space, i) and s == 0))
+    return 0 <= 2 * i <= space.g and _row_start(space, i) <= s <= space.n
 
 
 def boundary_orbits(space: Space):
     """Canonical (i, s) orbits of boundary divisors, in deterministic order."""
     for i in range(0, space.g // 2 + 1):
-        for s in range(0, space.n + 1):
-            if is_orbit(space, i, s):
-                yield (i, s)
+        for s in range(_row_start(space, i), space.n + 1):
+            yield (i, s)
 
 
-def orbit_count(space: Space) -> int:
-    """Number of canonical boundary orbits, without enumerating them.
-
-    For 0 <= i <= g/2 the genus-(g-i) side has genus >= 1, so (i, s) is an
-    orbit iff s >= 2 when i = 0, s >= 1 when i = g/2 and n >= 1, and any
-    0 <= s <= n otherwise (see is_orbit)."""
-    n = space.n
-    return sum(max(0, n + 1 - (2 if i == 0 else 1 if _split_by_label_1(space, i) else 0))
-               for i in range(space.g // 2 + 1))
+def row_count(space: Space) -> int:
+    """Number of boundary rows i that hold an orbit: every 0 <= i <= g/2 but
+    the genus-0 row when n < 2."""
+    return space.g // 2 + (space.n >= 2)
 
 
 def orbit_size(space: Space, i: int, s: int) -> int:
@@ -292,11 +384,6 @@ def orbit_members(space: Space, i: int, s: int):
     else:
         for S in combinations(labels, s):
             yield BoundaryIndex(i, frozenset(S))
-
-
-def all_canonical_indices(space: Space):
-    for (i, s) in boundary_orbits(space):
-        yield from orbit_members(space, i, s)
 
 
 # ---------------------------------------------------------------------------
@@ -339,21 +426,25 @@ class DivisorClass:
     `psi_rest` (default Exact(0)) plus the labels that `psi` lists; `psi` may
     also be one scalar (every label) or a sequence of n values, and when every
     label is listed the rest becomes the most common listed value.  The
-    boundary is a layer over canonical orbits: `boundary_rest` (default
-    Exact(0)) plus the `boundary_sym` (i, s) entries.  Each orbit is a layer
-    over its member indices: the orbit's value plus the `boundary` entries in
-    it, stored under their orbit.
+    boundary is a layer over the rows i: `boundary_rest` (default Exact(0))
+    plus the `boundary_rows` entries, each a Row, one kind and one formula in
+    s (a Coefficient or a scalar is a constant row).  Each row is a layer
+    over its orbits (i, s), with the row's value at s as the rest, plus the
+    `boundary_sym` (i, s) entries.  Each orbit is a layer over its member
+    indices: the orbit's value plus the `boundary` entries in it, stored
+    under their orbit.
 
-    The stored form is normal: an entry equal to its layer's rest is dropped.
-    All arithmetic is generator-wise Coefficient arithmetic and costs
-    O(listed keys), independent of n.
+    The stored form is normal: an entry equal to its layer's rest is dropped,
+    and so is a row that holds no orbit (row 0 when n < 2).  All arithmetic is
+    generator-wise Coefficient arithmetic, or Row arithmetic on a whole row,
+    and costs O(listed keys), independent of n.
     """
 
     __slots__ = ("space", "lam", "delta_irr", "_psi", "_psi_rest",
-                 "_explicit", "_orbits", "_rest")
+                 "_explicit", "_orbits", "_rows", "_rest")
 
     def __init__(self, space, lam=0, psi=0, delta_irr=0, boundary=None, boundary_sym=None,
-                 boundary_rest=EXACT_ZERO, psi_rest=EXACT_ZERO):
+                 boundary_rest=EXACT_ZERO, psi_rest=EXACT_ZERO, boundary_rows=None):
         self.space = space
         self.lam = coeff(lam)
         psi_rest = coeff(psi_rest)
@@ -379,16 +470,35 @@ class DivisorClass:
         self._psi_rest = psi_rest
         self.delta_irr = coeff(delta_irr)
 
-        rest = coeff(boundary_rest)
-        orbits = {}
+        g, n = space.g, space.n
+        self._rest = rest = coeff(boundary_rest)
+        self._rows = rows = {}
+        for i, row in (boundary_rows or {}).items():
+            if type(i) is not int:
+                raise ValueError(f"boundary row {i!r} is not an int")
+            if not 0 <= 2 * i <= g:
+                raise UnstableIndexError(f"no canonical boundary row {i} on {space}")
+            # a Row built directly is checked and brought to normal form here
+            row = (Row.formula(row.kind, row.num, row.den) if isinstance(row, Row)
+                   else Row.const(coeff(row)))
+            if row != Row.const(rest) and _row_start(space, i) <= n:
+                rows[i] = row
+
+        self._orbits = orbits = {}
+        starts = {}  # row i -> its least s, found once per row; n + 1 where there is no row i
         for key, c in (boundary_sym or {}).items():
             if not (type(key) is tuple and len(key) == 2
                     and type(key[0]) is int and type(key[1]) is int):
                 raise ValueError(f"boundary_sym key {key!r} is not a pair of ints")
-            if not is_orbit(space, *key):
+            i, s = key
+            start = starts.get(i)
+            if start is None:
+                start = starts[i] = _row_start(space, i) if 0 <= 2 * i <= g else n + 1
+            if not start <= s <= n:
                 raise UnstableIndexError(f"no canonical boundary orbit {key} on {space}")
             c = coeff(c)
-            if c != rest:
+            row = rows.get(i)
+            if c != (rest if row is None else row.at(s)):
                 orbits[key] = c
 
         explicit = {}
@@ -402,20 +512,31 @@ class DivisorClass:
             members[idx] = members[idx] + c if idx in members else c
         self._explicit = {}
         for key, members in explicit.items():
-            value = orbits.get(key, rest)
+            value = self._orbit_value(key)
             kept = {idx: c for idx, c in members.items() if c != value}
             if kept:
                 self._explicit[key] = kept
-        self._orbits = orbits
-        self._rest = rest
 
     # -- accessors ---------------------------------------------------------
+
+    def _row(self, i: int) -> Row:
+        """The formula of row i: its listed Row, else the rest as a constant row."""
+        row = self._rows.get(i)
+        return Row.const(self._rest) if row is None else row
+
+    def _orbit_value(self, key) -> Coefficient:
+        """The coefficient of orbit `key` = (i, s): its entry, else row i at s."""
+        c = self._orbits.get(key)
+        if c is None:
+            row = self._rows.get(key[0])
+            c = self._rest if row is None else row.at(key[1])
+        return c
 
     def orbit_coefficient(self, i: int, s: int) -> Coefficient:
         """The coefficient shared by the (i, s) orbit, before explicit entries."""
         if not is_orbit(self.space, i, s):
             raise UnstableIndexError(f"no canonical boundary orbit {(i, s)} on {self.space}")
-        return self._orbits.get((i, s), self._rest)
+        return self._orbit_value((i, s))
 
     def boundary_coefficient(self, i: int, S) -> Coefficient:
         idx = canonical_index(self.space, i, frozenset(S))
@@ -424,7 +545,7 @@ class DivisorClass:
 
     def _orbit_layer(self, key):
         """The member layer of orbit `key`: its value and its explicit members."""
-        return self._orbits.get(key, self._rest), self._explicit.get(key, {})
+        return self._orbit_value(key), self._explicit.get(key, {})
 
     def boundary_items(self):
         items = [item for members in self._explicit.values() for item in members.items()]
@@ -432,9 +553,17 @@ class DivisorClass:
 
     def boundary_orbit_items(self):
         """Sorted (i, s) -> coefficient pairs of every non-zero orbit."""
+        space = self.space
         if self._rest.is_zero:
-            return sorted(self._orbits.items())
-        items = ((key, self._orbits.get(key, self._rest)) for key in boundary_orbits(self.space))
+            # only the listed rows and orbits can be non-zero
+            values = dict(self._orbits)
+            for i, row in self._rows.items():
+                for s in range(_row_start(space, i), space.n + 1):
+                    if (i, s) not in values:
+                        values[(i, s)] = row.at(s)
+            items = sorted(values.items())
+        else:
+            items = ((key, self._orbit_value(key)) for key in boundary_orbits(space))
         return [(key, c) for key, c in items if not c.is_zero]
 
     @property
@@ -470,7 +599,9 @@ class DivisorClass:
     def add(self, other: "DivisorClass") -> "DivisorClass":
         self._require_same_space(other)
         psi_rest, psi = _layer_sum(self._psi_rest, self._psi, other._psi_rest, other._psi)
-        rest, orbits = _layer_sum(self._rest, self._orbits, other._rest, other._orbits)
+        rows = {i: self._row(i) + other._row(i) for i in self._rows.keys() | other._rows.keys()}
+        orbits = {key: self._orbit_value(key) + other._orbit_value(key)
+                  for key in self._orbits.keys() | other._orbits.keys()}
         explicit = {}
         for key in self._explicit.keys() | other._explicit.keys():
             explicit.update(_layer_sum(*self._orbit_layer(key), *other._orbit_layer(key))[1])
@@ -482,7 +613,8 @@ class DivisorClass:
             delta_irr=self.delta_irr + other.delta_irr,
             boundary=explicit,
             boundary_sym=orbits,
-            boundary_rest=rest,
+            boundary_rows=rows,
+            boundary_rest=self._rest + other._rest,
         )
 
     def scale(self, c: Scalar) -> "DivisorClass":
@@ -496,6 +628,7 @@ class DivisorClass:
             boundary={idx: v.scaled(c) for members in self._explicit.values()
                       for idx, v in members.items()},
             boundary_sym={k: v.scaled(c) for k, v in self._orbits.items()},
+            boundary_rows={i: row.scaled(c) for i, row in self._rows.items()},
             boundary_rest=self._rest.scaled(c),
         )
 
@@ -519,19 +652,41 @@ class DivisorClass:
 
     def _boundary_equal(self, other: "DivisorClass") -> bool:
         """Whether every boundary coefficient agrees: the layer rule over
-        orbits, and within each orbit over its members."""
+        rows, within each row over its orbits, and within each orbit over its
+        members.  Where two row formulas differ, the orbits of that row that
+        neither class lists are read one by one, so equality always decides."""
         space = self.space
 
         def listed_orbits(cls):
-            # an orbit with explicit members is listed too, at its value
-            return {**dict.fromkeys(cls._explicit, cls._rest), **cls._orbits}
+            # row i -> {s: value} of its orbits with an entry or explicit members
+            by_row = {}
+            for key in (*cls._explicit, *cls._orbits):
+                by_row.setdefault(key[0], {})[key[1]] = cls._orbit_value(key)
+            return by_row
+
+        def listed_rows(cls, by_row):
+            # a row with listed orbits is listed too, at its formula
+            rest = Row.const(cls._rest)
+            return rest, {**dict.fromkeys(by_row, rest), **cls._rows}
+
+        a_orbits, b_orbits = listed_orbits(self), listed_orbits(other)
 
         def orbit_agrees(key, a_value, b_value):
             return _layers_agree(a_value, self._explicit.get(key, {}), b_value,
                                  other._explicit.get(key, {}), lambda: orbit_size(space, *key))
 
-        return _layers_agree(self._rest, listed_orbits(self), other._rest, listed_orbits(other),
-                             lambda: orbit_count(space), orbit_agrees)
+        def row_agrees(i, a_row, b_row):
+            a, b = a_orbits.get(i, {}), b_orbits.get(i, {})
+            if a_row != b_row:
+                for s in range(_row_start(space, i), space.n + 1):
+                    if s not in a and s not in b and a_row.at(s) != b_row.at(s):
+                        return False
+            return all(orbit_agrees((i, s), a[s] if s in a else a_row.at(s),
+                                    b[s] if s in b else b_row.at(s))
+                       for s in a.keys() | b.keys())
+
+        return _layers_agree(*listed_rows(self, a_orbits), *listed_rows(other, b_orbits),
+                             lambda: row_count(space), row_agrees)
 
     def __hash__(self):
         # equal classes may store different psi rests or boundary layers;
@@ -604,7 +759,8 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Scalar:
     i = g/2 they split in two by whether label 1 is in S+{j}.  delta_{i:S} is
     one member of one orbit.  For each orbit met, a walk over its explicit
     members adds those the curve meets, and the members not listed add the
-    orbit value, read only when there are any.
+    orbit value, read only when there are any; where the class stores no
+    entry for the orbit, that value is its row's formula at s, in ints.
 
     The sums start from the int 0, so a class with integral coefficients pairs
     in int arithmetic; the result is in the normal form of exact.scalar.

@@ -20,7 +20,6 @@ from .picard import (
     Space,
     SpaceMismatchError,
     UNKNOWN,
-    is_orbit,
 )
 
 
@@ -31,21 +30,19 @@ def forgetful_pullback(cls: DivisorClass, n: int) -> DivisorClass:
     lambda -> lambda, delta_irr -> delta_irr, and delta_i (i >= 1) -> the sum
     of every boundary divisor whose stabilization forgets to delta_i, i.e. the
     whole (i, s) orbit for every s; the genus-0 tails delta_{0:S} are
-    contracted, so row 0 is zero.  The result's boundary rest is the most
-    common row value and only the rows that differ from it are listed, so the
-    cost is O(n) per such row.  Bound/Unknown inputs propagate.
+    contracted, so row 0 is zero.  Each row is one constant: the result's
+    boundary rest is the most common row value and every other row is stored
+    once, as a constant row, so the cost is O(g), whatever n is.
+    Bound/Unknown inputs propagate.
     """
     g = cls.space.g
     if cls.space.n:
         raise SpaceMismatchError(f"forgetful pullback needs a class on (g={g}, n=0), "
                                  f"not {cls.space}")
-    space = Space(g, n)
     rows = [EXACT_ZERO] + [cls.boundary_coefficient(i, ()) for i in range(1, g // 2 + 1)]
     rest = max(rows, key=rows.count)
-    sym = {(i, s): c for i, c in enumerate(rows) if c != rest
-           for s in range(n + 1) if is_orbit(space, i, s)}
-    return DivisorClass(space, lam=cls.lam, delta_irr=cls.delta_irr,
-                        boundary_sym=sym, boundary_rest=rest)
+    return DivisorClass(Space(g, n), lam=cls.lam, delta_irr=cls.delta_irr,
+                        boundary_rows=dict(enumerate(rows)), boundary_rest=rest)
 
 
 @dataclass(frozen=True)
@@ -158,23 +155,3 @@ def average_over_pairs(classes: Sequence[DivisorClass], normalization=1) -> Divi
     for c in classes[1:]:
         total = total.add(c)
     return total.scale(Fraction(rat(normalization), len(classes)))
-
-
-_PIC12_GENERATORS = ("lambda", "psi_p", "psi_q", "delta_irr", "delta_0")
-
-
-def pic12_reduce(expr: Mapping):
-    """Reduce a combination of {lambda, psi_p, psi_q, delta_irr, delta_0} on
-    the 2-pointed genus-1 space to the basis {lambda, delta_0}.
-
-    Relations: 12 lambda = delta_irr and psi_p = psi_q = lambda + delta_0.
-    Returns the pair of reduced coefficients; values may be exact rationals or
-    Poly for symbolic statements.
-    """
-    unknown = set(expr) - set(_PIC12_GENERATORS)
-    if unknown:
-        raise ValueError(f"unknown generator(s): {sorted(unknown)}")
-    c = {name: expr.get(name, 0) for name in _PIC12_GENERATORS}
-    lam = c["lambda"] + 12 * c["delta_irr"] + c["psi_p"] + c["psi_q"]
-    delta = c["psi_p"] + c["psi_q"] + c["delta_0"]
-    return lam, delta

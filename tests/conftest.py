@@ -5,6 +5,19 @@ import pytest
 from mgn_divisors import family, picard
 
 
+def all_canonical_indices(space):
+    """Every canonical boundary index of the space, orbit by orbit: the dense
+    per-member expansion that the layered classes are checked against."""
+    for (i, s) in picard.boundary_orbits(space):
+        yield from picard.orbit_members(space, i, s)
+
+
+def stored_boundary_entries(cls) -> int:
+    """How many boundary entries a class stores below its rest: rows, orbit
+    entries and explicit members."""
+    return len(cls._rows) + len(cls._orbits) + sum(map(len, cls._explicit.values()))
+
+
 @pytest.fixture()
 def quad_class_builds(monkeypatch):
     """Count quad_class builds: `quad_class_builds(*modules)` rebinds the name

@@ -27,13 +27,14 @@ from mgn_divisors.picard import (
     Space,
     TestCurve as Pencil,
     UnstableIndexError,
-    all_canonical_indices,
     canonical_index,
     deserialize,
     intersect_test_curve,
     serialize,
 )
 from mgn_divisors.presets import averaged_class, bn5_pullback, certify, quad3_pullback
+
+from conftest import all_canonical_indices
 
 
 def report(num, label, ok):

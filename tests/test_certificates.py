@@ -18,12 +18,13 @@ from mgn_divisors.certificates import (
     perturbation_sound,
     solve_certificate,
 )
+from mgn_divisors.family import pic12_reduce
 from mgn_divisors.picard import (
     Coefficient, DivisorClass, MalformedClassError, Space,
     TestCurve as Pencil, UNKNOWN, boundary_orbits,
     class_to_dict, intersect_test_curve, serialize)
 from mgn_divisors.presets import certificate_components, certify
-from mgn_divisors.pullbacks import forgetful_pullback, pic12_reduce
+from mgn_divisors.pullbacks import forgetful_pullback
 
 
 class TestCanonicalClass:

@@ -486,6 +486,13 @@ PINNED_STDOUT = {
         "7fd876830070b21a631881d43f5c5d8883981f21cd675270ddd612d5c931ef4c",
     "verify grr --t-max 16":
         "c92fa1d99d997a136bb97f272c0b4482258a2eb694c47e7685f8ef8bca2f7e75",
+    # rows 0 and 1 stored as formulas in s still list every orbit
+    "class quad --t 16 --json":
+        "388fdd215acc774d024dde16dc12d28e099312424efb2ea7e28461f774411e4d",
+    "class quad --t 40 --json":
+        "510d08c8d40f10a6ffdc83304d91ccc1301e807fb6bd7f253e38a4c6b7de5ca6",
+    "verify grr --t-max 40 --json":
+        "038c3bdb1308a61adc91a73d432db3d382e388e8bc37582e6a1860f8f15d41f7",
 }
 
 

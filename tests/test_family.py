@@ -29,6 +29,8 @@ from mgn_divisors.family import (
 )
 from mgn_divisors.picard import Coefficient
 
+from conftest import stored_boundary_entries
+
 
 TABLE = [(5, 1), (8, 3), (12, 6), (17, 10), (23, 15), (30, 21), (38, 28)]
 
@@ -123,6 +125,33 @@ class TestQuadClass:
         assert cls.boundary_coefficient(0, {1, 2}) == Coefficient.exact(-10)
         assert cls.boundary_coefficient(1, {5}) == Coefficient.exact(-4)
         assert cls.boundary_coefficient(1, {5, 6}) == Coefficient.exact(-9)
+
+    def test_rows_match_the_closed_forms_on_every_orbit(self):
+        """Rows 0 and 1, read per orbit, are -b0 and -b1 (b_{1:0} = t+4 included)."""
+        for t in range(31):
+            cls, n = quad_class(t), gn_pair(t)[1]
+            assert all(cls.orbit_coefficient(0, s) == Coefficient.exact(-b0(s, t))
+                       for s in range(2, n + 1)), t
+            assert all(cls.orbit_coefficient(1, s) == Coefficient.exact(-b1(s, t))
+                       for s in range(n + 1)), t
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 16, 40])
+    def test_row_formulas_are_the_closed_forms_in_s(self, t):
+        """Each stored formula, read as a Poly in s, is -b0(s, t) or -b1(s, t).
+        (At t = 0 there is one label, so row 0 holds no orbit and is not stored.)"""
+        s = Poly.var("s")
+        rows = quad_class(t)._rows
+
+        def as_poly(row):
+            assert row.kind == "exact"
+            return sum((c * s ** k for k, c in enumerate(row.num)), Poly.const(0)) / row.den
+
+        assert as_poly(rows[0]) == -b0(s, t)
+        assert as_poly(rows[1]) == -b1(s, t)
+
+    def test_stored_entries_do_not_grow_with_t(self):
+        assert stored_boundary_entries(quad_class(16)) == stored_boundary_entries(quad_class(400))
+        assert stored_boundary_entries(quad_class(16)) == 3  # rows 0 and 1, and b_{1:0}
 
 
 class TestRecurrences:

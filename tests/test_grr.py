@@ -11,7 +11,7 @@ from mgn_divisors.grr import (
     total_boundary,
     uniform_bundle,
 )
-from mgn_divisors.picard import Coefficient, DivisorClass, Space
+from mgn_divisors.picard import Coefficient, DivisorClass, Space, serialize
 
 
 SPACE = Space(5, 3)
@@ -66,16 +66,17 @@ class TestPorteous:
         assert d1.delta_irr == q.delta_irr
 
 
-def test_grr_sweep_enumerates_only_the_family_rows(boundary_orbit_yields):
+def test_grr_sweep_enumerates_no_orbits(boundary_orbit_yields):
     """Classes with one coefficient on almost every orbit cost O(listed
-    orbits): the whole sweep enumerates no more orbits than the i in {0, 1}
-    rows that quad_class lists, at most 2(n+1) per t."""
+    keys): quad_class stores rows 0 and 1 as formulas in s, so the whole
+    sweep enumerates no boundary orbit at all."""
     yielded = boundary_orbit_yields()
     records = list(checks.check_grr(6))  # a sweep is a generator: read it once
     assert len(records) == 4 * 7
     assert all(ok for *_, ok in records)
-    assert yielded  # the counter is live: quad_class enumerates its two rows
-    assert len(yielded) <= 2 * sum(family_space(t).n + 1 for t in range(7))
+    assert yielded == []
+    serialize(quad_class(6))  # the counter is live: listing a class walks its orbits
+    assert yielded
 
 
 def test_psi_work_does_not_grow_with_n(monkeypatch):

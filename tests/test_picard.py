@@ -4,6 +4,8 @@ from itertools import combinations, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mgn_divisors import picard
+from mgn_divisors.exact import scalar
 from mgn_divisors.picard import (
     BoundaryIndex,
     Coefficient,
@@ -11,12 +13,12 @@ from mgn_divisors.picard import (
     EXACT_ZERO,
     InsufficientInformationError,
     MalformedClassError,
+    Row,
     Space,
     SpaceMismatchError,
     TestCurve as Pencil,
     UNKNOWN,
     UnstableIndexError,
-    all_canonical_indices,
     boundary_orbits,
     canonical_index,
     class_from_dict,
@@ -25,11 +27,13 @@ from mgn_divisors.picard import (
     intersect_test_curve,
     coeff,
     is_orbit,
-    orbit_count,
     orbit_members,
     orbit_size,
+    row_count,
     serialize,
 )
+
+from conftest import all_canonical_indices
 
 
 class TestCoefficient:
@@ -142,7 +146,7 @@ class TestSpaceAndIndexing:
         space = Space(4, 0)
         assert canonical_index(space, 2, set()) == BoundaryIndex(2, frozenset())
         assert is_orbit(space, 2, 0)
-        assert orbit_count(space) == 2
+        assert row_count(space) == 2
         assert orbit_size(space, 2, 0) == 1
         assert list(orbit_members(space, 2, 0)) == [BoundaryIndex(2, frozenset())]
 
@@ -201,7 +205,7 @@ class TestSpaceAndIndexing:
                     continue
                 reached.add((idx.i, idx.s))
         assert orbits == reached
-        assert orbit_count(space) == len(orbits)
+        assert row_count(space) == len({i for i, _ in orbits})
         for i in range(-1, space.g + 2):
             for s in range(-1, space.n + 2):
                 assert is_orbit(space, i, s) == ((i, s) in orbits)
@@ -685,6 +689,192 @@ class TestPairingPerOrbit:
         by_orbit = DivisorClass(space, boundary_sym={(2, 0): 1})
         for cls in (by_index, by_orbit):
             assert intersect_test_curve(cls, curve) == member_by_member(cls, curve) == -2
+
+
+@st.composite
+def row_formulas(draw):
+    """A kind and a formula in s with small int coefficients over 1, 2 or 3."""
+    kind = draw(st.sampled_from(["exact", "exact", "at_least", "at_most", "unknown"]))
+    num = draw(st.lists(st.integers(-3, 3), max_size=3))
+    return kind, num, draw(st.integers(1, 3))
+
+
+def row_value(formula, s) -> Coefficient:
+    """A drawn formula at s, summed term by term over Fractions."""
+    kind, num, den = formula
+    if kind == "unknown":
+        return UNKNOWN
+    return Coefficient(kind, scalar(Fraction(sum(c * s ** k for k, c in enumerate(num)), den)))
+
+
+@st.composite
+def row_specs(draw, space):
+    """A boundary of every level: a rest, row formulas (row 0 on n < 2 has no
+    orbit), orbit entries and explicit members, as drawn values and as the
+    constructor arguments that store them."""
+    rows = list(range(space.g // 2 + 1))
+    orbits = list(boundary_orbits(space))
+    members = list(all_canonical_indices(space))
+    rest = draw(coefficients())
+    formulas = draw(st.dictionaries(st.sampled_from(rows), row_formulas(), max_size=3))
+    sym = draw(st.dictionaries(st.sampled_from(orbits), coefficients(), max_size=4))
+    explicit = draw(st.dictionaries(st.sampled_from(members), coefficients(), max_size=4))
+    args = dict(boundary_rest=rest, boundary_sym=sym, boundary=explicit,
+                boundary_rows={i: Row.formula(*f) for i, f in formulas.items()})
+    return args, (rest, formulas, sym, explicit)
+
+
+def orbit_values(space, drawn) -> dict:
+    """Every orbit of the space with its value, read from the drawn values:
+    the orbit entry, else the row formula at s, else the rest."""
+    rest, formulas, sym, _ = drawn
+    return {(i, s): sym[(i, s)] if (i, s) in sym
+            else row_value(formulas[i], s) if i in formulas else rest
+            for i, s in boundary_orbits(space)}
+
+
+def dense_boundary(space, drawn) -> dict:
+    """Every canonical index of the space with its coefficient: the explicit
+    member, else its orbit's value."""
+    orbits, explicit = orbit_values(space, drawn), drawn[3]
+    return {idx: explicit.get(idx, orbits[(idx.i, idx.s)])
+            for idx in all_canonical_indices(space)}
+
+
+# row 0 starts at s = 2; rows g/2 of (4, 2), (6, 3) and (8, 6) are split by label 1;
+# row 0 of (5, 1) holds no orbit; (4, 0) has rows 1 and 2 only
+ROW_SPACES = [Space(2, 3), Space(4, 0), Space(4, 2), Space(5, 1), Space(6, 3), Space(8, 6)]
+
+
+class TestBoundaryRows:
+    """A class whose rows are formulas in s is the class written out member
+    by member: every accessor, sum, scaling, equality and pairing agrees with
+    that dense expansion."""
+
+    @pytest.mark.parametrize("space", ROW_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_dense_expansion(self, space, data):
+        args, drawn = data.draw(row_specs(space))
+        cls, dense = DivisorClass(space, **args), dense_boundary(space, drawn)
+        assert all(cls.boundary_coefficient(idx.i, idx.S) == c for idx, c in dense.items())
+        full = DivisorClass(space, boundary=dense)
+        assert cls == full and full == cls
+        listed = DivisorClass(space, boundary_sym=orbit_values(space, drawn), boundary=drawn[3])
+        assert serialize(cls) == serialize(listed) and repr(cls) == repr(listed)
+        assert cls.boundary_is_zero == all(c.is_zero for c in dense.values())
+        again = deserialize(serialize(cls))
+        assert again == cls and serialize(again) == serialize(cls)
+        for curve in every_test_curve(space):
+            assert (outcome(intersect_test_curve, cls, curve)
+                    == outcome(member_by_member, full, curve)), curve
+
+    @pytest.mark.parametrize("space", ROW_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_arithmetic_and_equality_match_dense_expansion(self, space, data):
+        (a_args, a_drawn), (b_args, b_drawn) = data.draw(row_specs(space)), data.draw(row_specs(space))
+        a, b = DivisorClass(space, **a_args), DivisorClass(space, **b_args)
+        a_dense, b_dense = dense_boundary(space, a_drawn), dense_boundary(space, b_drawn)
+        total = a.add(b)
+        assert all(total.boundary_coefficient(idx.i, idx.S) == c + b_dense[idx]
+                   for idx, c in a_dense.items())
+        k = data.draw(st.sampled_from([Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(3)]))
+        scaled = a.scale(k)
+        assert all(scaled.boundary_coefficient(idx.i, idx.S) == c.scaled(k)
+                   for idx, c in a_dense.items())
+        assert (a == b) == (b == a) == (a_dense == b_dense)
+
+    @pytest.mark.parametrize("space", ROW_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_different_formulas_equal_where_exceptions_cover(self, space, data):
+        """Two rows with different formulas are equal when orbit entries or
+        explicit members make them agree at every orbit, and differ when one
+        orbit is left uncovered."""
+        i = data.draw(st.sampled_from([i for i in range(space.g // 2 + 1)
+                                       if is_orbit(space, i, space.n)]))
+        f, h = data.draw(row_formulas()), data.draw(row_formulas())
+        a = DivisorClass(space, boundary_rows={i: Row.formula(*f)})
+        differ = [s for s in range(space.n + 1)
+                  if is_orbit(space, i, s) and row_value(f, s) != row_value(h, s)]
+        by_orbit = {(i, s): row_value(f, s) for s in differ}
+        b = DivisorClass(space, boundary_rows={i: Row.formula(*h)}, boundary_sym=by_orbit)
+        assert a == b and b == a
+        by_member = {idx: row_value(f, idx.s) for s in differ
+                     for idx in orbit_members(space, i, s)}
+        c = DivisorClass(space, boundary_rows={i: Row.formula(*h)}, boundary=by_member)
+        assert a == c and c == a
+        if differ:
+            uncovered = DivisorClass(space, boundary_rows={i: Row.formula(*h)},
+                                     boundary_sym=dict(list(by_orbit.items())[1:]))
+            assert a != uncovered and uncovered != a
+
+    def test_row_0_starts_at_two_labels(self):
+        space = Space(4, 3)
+        cls = DivisorClass(space, boundary_rows={0: Row.formula("exact", (1, 1))})
+        assert [(key, str(c)) for key, c in cls.boundary_orbit_items()] == [
+            ((0, 2), "3"), ((0, 3), "4")]
+        assert cls.boundary_coefficient(4, {3}) == Coefficient.exact(3)  # mirror of (0, {1, 2})
+        with pytest.raises(UnstableIndexError):
+            cls.orbit_coefficient(0, 1)
+        # on one label row 0 holds no orbit: the row says nothing and is dropped,
+        # so it covers nothing either, and the rests tell row 2 apart here
+        assert DivisorClass(Space(4, 1), boundary_rows={0: 5}) == DivisorClass(Space(4, 1))
+        assert (DivisorClass(Space(4, 1), boundary_rows={0: 5, 1: 2}, boundary_rest=1)
+                != DivisorClass(Space(4, 1), boundary_rows={1: 2}, boundary_rest=3))
+
+    def test_middle_row_is_read_by_the_members_with_label_1(self):
+        # on (4, 2) row 2 is the orbits (2, 1) and (2, 2): delta_{2:{2}} is delta_{2:{1}}
+        space = Space(4, 2)
+        cls = DivisorClass(space, boundary_rows={2: Row.formula("at_most", (0, 2))})
+        assert [key for key, _ in cls.boundary_orbit_items()] == [(2, 1), (2, 2)]
+        assert cls.boundary_coefficient(2, {2}) == Coefficient.at_most(2)
+        assert cls.boundary_coefficient(2, set()) == Coefficient.at_most(4)
+        with pytest.raises(UnstableIndexError):
+            cls.orbit_coefficient(2, 0)
+
+    def test_row_keys_are_checked(self):
+        with pytest.raises(UnstableIndexError):
+            DivisorClass(Space(4, 2), boundary_rows={3: 1})
+        with pytest.raises(UnstableIndexError):
+            DivisorClass(Space(4, 2), boundary_rows={-1: 1})
+        with pytest.raises(ValueError, match="boundary row"):
+            DivisorClass(Space(4, 2), boundary_rows={1.0: 1})
+        with pytest.raises(TypeError):
+            DivisorClass(Space(4, 2), boundary_rows={1: Row("exact", (0.5,))})
+        # a Row built directly is brought to normal form
+        assert (DivisorClass(Space(4, 2), boundary_rows={1: Row("exact", (2, 4), 2)})
+                == DivisorClass(Space(4, 2), boundary_rows={1: Row.formula("exact", (1, 2))}))
+
+    def test_orbit_keys_are_checked_once_per_row(self, monkeypatch):
+        space = Space(8, 6)
+        every_orbit = {key: 1 for key in boundary_orbits(space)}
+        calls = []
+        row_start = picard._row_start
+
+        def counting(space, i):
+            calls.append(i)
+            return row_start(space, i)
+
+        monkeypatch.setattr(picard, "_row_start", counting)
+        DivisorClass(space, boundary_sym=every_orbit)
+        assert sorted(calls) == list(range(5))
+        with pytest.raises(UnstableIndexError):
+            DivisorClass(space, boundary_sym={(1, 2): 1, (5, 0): 1})
+
+    def test_row_normal_form(self):
+        assert Row.formula("exact", (2, 4, 0), 6) == Row.formula("exact", [-1, -2], -3)
+        assert Row.formula("exact", (2, 4), 6) == Row("exact", (1, 2), 3)
+        assert Row.formula("unknown", (1,), 2) == Row("unknown")
+        assert Row.const(Coefficient.at_least(Fraction(-3, 4))) == Row("at_least", (-3,), 4)
+        assert Row.const(EXACT_ZERO) == Row("exact")
+        assert Row("exact", (1, 1), 2).at(2) == Coefficient.exact(Fraction(3, 2))
+        assert type(Row("exact", (1, 1), 2).at(3).value) is int
+        with pytest.raises(TypeError):
+            Row.formula("exact", (1.5,))
+        with pytest.raises(ZeroDivisionError):
+            Row.formula("exact", (1,), 0)
 
 
 def psi_values():

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from mgn_divisors import presets
-from mgn_divisors.certificates import catalog_get
+from mgn_divisors.certificates import bn_class, catalog_get
 from mgn_divisors.exact import Poly
-from mgn_divisors.family import b0, b1, quad_class
+from mgn_divisors.family import b0, b1, pic12_reduce, quad_class
 from mgn_divisors.picard import (
     Coefficient,
     DivisorClass,
@@ -13,6 +13,7 @@ from mgn_divisors.picard import (
     SpaceMismatchError,
     UNKNOWN,
     boundary_orbits,
+    row_count,
 )
 from mgn_divisors.pullbacks import (
     ClutchingMap,
@@ -20,9 +21,10 @@ from mgn_divisors.pullbacks import (
     average_over_pairs,
     clutch_pullback,
     forgetful_pullback,
-    pic12_reduce,
 )
 from mgn_divisors.presets import averaged_class, bn5_pullback, ordered_pairs, quad3_pullback
+
+from conftest import stored_boundary_entries
 
 
 def fanned_out(cls, n):
@@ -102,6 +104,11 @@ class TestForgetful:
         yielded = boundary_orbit_yields()
         forgetful_pullback(z16, 8)
         assert yielded == []
+
+    def test_stores_at_most_one_entry_per_row(self):
+        bn17 = forgetful_pullback(bn_class(17), 8)
+        assert stored_boundary_entries(bn17) <= row_count(bn17.space)
+        assert stored_boundary_entries(bn17) == len(bn17._rows) == 8  # every row but the rest
 
 
 class TestClutchingMap:
