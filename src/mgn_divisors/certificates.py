@@ -44,7 +44,6 @@ from .picard import (
     boundary_orbits,
     canonical_index,
     class_from_dict,
-    class_to_dict,
 )
 from .pullbacks import forgetful_pullback
 
@@ -166,10 +165,6 @@ def catalog_get(name: str, catalog: dict | None = None) -> CatalogEntry:
     return cat[name]
 
 
-def catalog_names(catalog: dict | None = None):
-    return sorted((catalog if catalog is not None else _CATALOG))
-
-
 def catalog_load(path) -> dict:
     """Built-in catalog merged with (and overridden by) a JSON file.
 
@@ -190,15 +185,6 @@ def catalog_load(path) -> dict:
     except (KeyError, TypeError, ValueError, PicardError) as e:
         raise MalformedClassError(f"malformed catalog file: {e}") from e
     return cat
-
-
-def catalog_dump(catalog: dict) -> dict:
-    return {
-        "entries": [
-            {"name": e.name, "class": class_to_dict(e.cls), "note": e.note}
-            for _, e in sorted(catalog.items())
-        ]
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, zip_longest
+from itertools import zip_longest
 from math import comb, gcd
 
 from .exact import Scalar, parse_rat, rat_str, scalar
@@ -376,16 +376,6 @@ def orbit_size(space: Space, i: int, s: int) -> int:
     return comb(space.n, s)
 
 
-def orbit_members(space: Space, i: int, s: int):
-    labels = list(space.labels)
-    if _split_by_label_1(space, i):
-        for rest in combinations(labels[1:], s - 1):
-            yield BoundaryIndex(i, frozenset((1,) + rest))
-    else:
-        for S in combinations(labels, s):
-            yield BoundaryIndex(i, frozenset(S))
-
-
 # ---------------------------------------------------------------------------
 # divisor classes
 
@@ -630,6 +620,48 @@ class DivisorClass:
             boundary_sym={k: v.scaled(c) for k, v in self._orbits.items()},
             boundary_rows={i: row.scaled(c) for i, row in self._rows.items()},
             boundary_rest=self._rest.scaled(c),
+        )
+
+    def symmetrized(self) -> "DivisorClass":
+        """The average of the class over every relabelling of the n points, in
+        Coefficient arithmetic, so bounds and Unknown propagate as in add.
+
+        psi becomes its mean over the labels, and an orbit with explicit
+        members the mean over its members; the rest, the rows and the orbit
+        entries are label-symmetric and pass through.  On the middle row
+        i = g/2 of a marked space delta_{g/2:S} = delta_{g/2:S^c}, so the
+        orbits (g/2, s) and (g/2, n-s) share the mean over both.  The cost is
+        O(listed entries), plus O(n) when the middle row is a formula that is
+        not constant.  The result is psi-symmetric and stores no explicit
+        member.
+        """
+        space, n = self.space, self.space.n
+        middle = space.g // 2 if _split_by_label_1(space, space.g // 2) else None
+
+        def mean(i, s):
+            total, size = EXACT_ZERO, 0
+            for key in {(i, s), (i, n - s)} if i == middle else {(i, s)}:
+                if is_orbit(space, *key):
+                    value, members = self._orbit_layer(key)
+                    k = orbit_size(space, *key)
+                    total += sum(members.values(), value.scaled(k - len(members)))
+                    size += k
+            return total.scaled(Fraction(1, size))
+
+        joined = {s for i, s in (*self._orbits, *self._explicit) if i == middle}
+        if middle in self._rows and len(self._rows[middle].num) > 1:
+            joined = range(1, n + 1)  # f(s) and f(n - s) may differ at every s
+        keys = {key for key in self._explicit if key[0] != middle}
+        keys |= {(middle, t) for s in joined for t in (s, n - s) if t}
+        psi = sum(self._psi.values(), self._psi_rest.scaled(n - len(self._psi)))
+        return DivisorClass(
+            space,
+            lam=self.lam,
+            psi=psi.scaled(Fraction(1, n)) if n else 0,
+            delta_irr=self.delta_irr,
+            boundary_sym={**self._orbits, **{key: mean(*key) for key in keys}},
+            boundary_rows=self._rows,
+            boundary_rest=self._rest,
         )
 
     def __add__(self, other):

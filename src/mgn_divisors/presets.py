@@ -1,10 +1,12 @@
 """Concrete pullback families and certificate recipes for the three spaces of
 interest: (16,8), (17,8) and (12,10).
 
-The averaged classes are built by one recipe from the ordered-pair clutching
-pullbacks of the t=3 family class on the 10-pointed genus-17 space; the
-normalizations in PAIR_TAILS reproduce the reference integral coefficients
-(40/37/8 and 20/19/4), any positive rescaling gives the same certificate.
+The averaged classes are one pullback, symmetrized: the clutching pullback of
+the t=3 family class on the 10-pointed genus-17 space at one pair of labels,
+averaged over the relabellings of the 8 points, which act transitively on the
+56 ordered pairs.  The normalizations in PAIR_TAILS reproduce the reference
+integral coefficients (40/37/8 and 20/19/4); any positive rescaling gives the
+same certificate.
 """
 
 from __future__ import annotations
@@ -12,13 +14,7 @@ from __future__ import annotations
 from .certificates import catalog_get, solve_certificate
 from .family import quad_class
 from .picard import DivisorClass, MalformedClassError, Space
-from .pullbacks import (
-    ClutchingMap,
-    TailAttachment,
-    average_over_pairs,
-    clutch_pullback,
-    forgetful_pullback,
-)
+from .pullbacks import ClutchingMap, TailAttachment, clutch_pullback, forgetful_pullback
 
 # g -> (tail genus at i, tail genus at j, normalization) on the 8-pointed space
 PAIR_TAILS = {16: (1, 0, 8), 17: (0, 0, 4)}
@@ -41,16 +37,10 @@ def quad3_pullback(q3: DivisorClass, g: int, i: int, j: int) -> DivisorClass:
     return clutch_pullback(q3, m)
 
 
-def ordered_pairs(n: int):
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-
-
 def averaged_class(g: int) -> DivisorClass:
-    """D_g_8: the average of quad3_pullback over the 56 ordered pairs of
-    labels, scaled by the normalization of PAIR_TAILS[g]."""
-    q3 = quad_class(3)
-    fam = [quad3_pullback(q3, g, i, j) for i, j in ordered_pairs(8)]
-    return average_over_pairs(fam, PAIR_TAILS[g][2])
+    """D_g_8: quad3_pullback at one pair, symmetrized, which is its average over
+    the 56 ordered pairs, scaled by the normalization of PAIR_TAILS[g]."""
+    return quad3_pullback(quad_class(3), g, 1, 2).symmetrized().scale(PAIR_TAILS[g][2])
 
 
 def _catalog_class(name: str, catalog, space: Space) -> DivisorClass:

@@ -1,4 +1,5 @@
-"""Pullbacks along forgetful and clutching maps, and symmetrized averages.
+"""Pullbacks along forgetful and clutching maps; a pair average is one
+pullback, symmetrized (DivisorClass.symmetrized).
 
 Clutching pullbacks are deliberately partial: the interior coefficients
 (lambda, psi, delta_irr) are computed exactly, boundary-to-boundary images are
@@ -10,16 +11,15 @@ boundary rule tables would import conventions nothing here can verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import rat
 from .picard import (
     DivisorClass,
     EXACT_ZERO,
     Space,
     SpaceMismatchError,
     UNKNOWN,
+    _check_index_types,
 )
 
 
@@ -50,7 +50,8 @@ class TailAttachment:
     """A fixed stable tail glued at a source marked point.
 
     The source point at_label becomes the node; the tail has genus tail_genus
-    and carries the target labels in tail_labels.
+    and carries the target labels in tail_labels.  The genus (>= 0) and the
+    labels are ints, as in a boundary index.
     """
 
     at_label: int
@@ -59,6 +60,9 @@ class TailAttachment:
 
     def __init__(self, at_label: int, tail_genus: int, tail_labels):
         tail_labels = frozenset(tail_labels)
+        _check_index_types(tail_genus, (at_label, *tail_labels))
+        if tail_genus < 0:
+            raise ValueError(f"tail genus {tail_genus} is negative")
         if not (tail_genus >= 1 or len(tail_labels) >= 2):
             raise ValueError("tail is unstable: needs genus >= 1 or >= 2 points")
         object.__setattr__(self, "at_label", at_label)
@@ -139,19 +143,3 @@ def clutch_pullback(cls: DivisorClass, m: ClutchingMap) -> DivisorClass:
         delta_irr=cls.delta_irr,
         boundary_rest=EXACT_ZERO if cls.boundary_is_zero else UNKNOWN,
     )
-
-
-def average_over_pairs(classes: Sequence[DivisorClass], normalization=1) -> DivisorClass:
-    """Arithmetic mean of a family of same-space classes, then rescaled.
-
-    The family is the full set of ordered-pair pullbacks; any positive
-    normalization yields an equivalent effective class, the constant is chosen
-    to reproduce the reference integral coefficients.
-    """
-    classes = list(classes)
-    if not classes:
-        raise ValueError("empty family")
-    total = classes[0]
-    for c in classes[1:]:
-        total = total.add(c)
-    return total.scale(Fraction(rat(normalization), len(classes)))

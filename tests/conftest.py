@@ -1,15 +1,37 @@
+import json
 import sys
+from itertools import combinations
 
 import pytest
 
 from mgn_divisors import family, picard
 
 
+def orbit_members(space, i, s):
+    """The canonical member indices of orbit (i, s): every label set of size
+    s, or on a row split by label 1 (i = g/2, n >= 1) those that hold 1."""
+    labels = list(space.labels)
+    if picard._split_by_label_1(space, i):
+        for rest in combinations(labels[1:], s - 1):
+            yield picard.BoundaryIndex(i, frozenset((1,) + rest))
+    else:
+        for S in combinations(labels, s):
+            yield picard.BoundaryIndex(i, frozenset(S))
+
+
 def all_canonical_indices(space):
     """Every canonical boundary index of the space, orbit by orbit: the dense
     per-member expansion that the layered classes are checked against."""
     for (i, s) in picard.boundary_orbits(space):
-        yield from picard.orbit_members(space, i, s)
+        yield from orbit_members(space, i, s)
+
+
+def write_catalog(path, entries):
+    """Write a `--catalog` file holding the given CatalogEntry values, each
+    class in its `class_to_dict` form."""
+    doc = {"entries": [{"name": e.name, "class": picard.class_to_dict(e.cls), "note": e.note}
+                       for e in entries]}
+    path.write_text(json.dumps(doc))
 
 
 def stored_boundary_entries(cls) -> int:

@@ -11,10 +11,8 @@ from mgn_divisors.certificates import (
     UnderdeterminedCertificateError,
     bn_class,
     canonical_class,
-    catalog_dump,
     catalog_get,
     catalog_load,
-    catalog_names,
     perturbation_sound,
     solve_certificate,
 )
@@ -25,6 +23,10 @@ from mgn_divisors.picard import (
     class_to_dict, intersect_test_curve, serialize)
 from mgn_divisors.presets import certificate_components, certify
 from mgn_divisors.pullbacks import forgetful_pullback
+
+from conftest import write_catalog
+
+BUILTIN_NAMES = ["BN17", "BN5_3", "D12", "F12_10", "Z16"]
 
 
 class TestCanonicalClass:
@@ -116,7 +118,7 @@ class TestBrillNoetherClass:
 
 class TestCatalog:
     def test_builtin_names(self):
-        assert catalog_names() == ["BN17", "BN5_3", "D12", "F12_10", "Z16"]
+        assert [catalog_get(name).name for name in BUILTIN_NAMES] == BUILTIN_NAMES
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
@@ -168,18 +170,17 @@ class TestCatalog:
 
     def test_dump_load_round_trip(self, tmp_path):
         path = tmp_path / "catalog.json"
-        path.write_text(json.dumps(catalog_dump({"BN5_3": catalog_get("BN5_3")})))
+        write_catalog(path, [catalog_get("BN5_3")])
         cat = catalog_load(path)
         assert cat["BN5_3"].cls == catalog_get("BN5_3").cls
         assert "Z16" in cat  # built-ins are kept
 
     def test_dump_load_round_trips_every_builtin(self, tmp_path):
-        builtins = {name: catalog_get(name) for name in catalog_names()}
+        builtins = {name: catalog_get(name) for name in BUILTIN_NAMES}
         path = tmp_path / "catalog.json"
-        path.write_text(json.dumps(catalog_dump(builtins)))
+        write_catalog(path, builtins.values())
+        # the file names every built-in, so the merged catalog is exactly the built-ins
         assert catalog_load(path) == builtins
-        assert all(set(entry) == {"name", "class", "note"}
-                   for entry in catalog_dump(builtins)["entries"])
 
     def test_legacy_unmarked_entry_is_malformed(self, tmp_path):
         doc = {"entries": [{"name": "Z16", "kind": "unmarked", "class": {

@@ -486,6 +486,10 @@ PINNED_STDOUT = {
         "7fd876830070b21a631881d43f5c5d8883981f21cd675270ddd612d5c931ef4c",
     "verify grr --t-max 16":
         "c92fa1d99d997a136bb97f272c0b4482258a2eb694c47e7685f8ef8bca2f7e75",
+    "pullback --preset quad3-to-168":
+        "ffd5f75dd58478219cbc0d6736ee91fa27c4f9d227e338e429660a062d3b5892",
+    "pullback --preset quad3-to-178":
+        "5103cef717ce7522ac8edc1eb46ac54a3330da7f031eb54859faa3c4dc714f7d",
     # rows 0 and 1 stored as formulas in s still list every orbit
     "class quad --t 16 --json":
         "388fdd215acc774d024dde16dc12d28e099312424efb2ea7e28461f774411e4d",

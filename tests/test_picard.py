@@ -1,11 +1,13 @@
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgn_divisors import picard
+from mgn_divisors.certificates import canonical_class
 from mgn_divisors.exact import scalar
+from mgn_divisors.family import quad_class
 from mgn_divisors.picard import (
     BoundaryIndex,
     Coefficient,
@@ -27,13 +29,12 @@ from mgn_divisors.picard import (
     intersect_test_curve,
     coeff,
     is_orbit,
-    orbit_members,
     orbit_size,
     row_count,
     serialize,
 )
 
-from conftest import all_canonical_indices
+from conftest import all_canonical_indices, orbit_members
 
 
 class TestCoefficient:
@@ -1121,3 +1122,92 @@ class TestSerialization:
             deserialize("[1, 2, 3]")
         with pytest.raises(MalformedClassError):
             class_from_dict({"space": {"g": 5, "n": 3}})
+
+
+def relabelled(cls, perm):
+    """cls with every label j renamed perm[j - 1], written out member by member."""
+    space = cls.space
+
+    def moved(S):
+        return frozenset(perm[j - 1] for j in S)
+
+    return DivisorClass(
+        space, lam=cls.lam, delta_irr=cls.delta_irr,
+        psi={perm[j - 1]: cls.psi_coefficient(j) for j in space.labels},
+        boundary={(idx.i, moved(idx.S)): cls.boundary_coefficient(idx.i, idx.S)
+                  for idx in all_canonical_indices(space)})
+
+
+def dense_average(cls):
+    """The sum of every relabelling of cls, scaled by 1/n!."""
+    perms = list(permutations(cls.space.labels))
+    total = relabelled(cls, perms[0])
+    for perm in perms[1:]:
+        total = total.add(relabelled(cls, perm))
+    return total.scale(Fraction(1, len(perms)))
+
+
+@st.composite
+def symmetrize_classes(draw, space):
+    """A class with listed psi, rows, orbit entries and explicit members,
+    bounds and Unknown included."""
+    psi, _ = draw(psi_specs(space))
+    boundary, _ = draw(row_specs(space))
+    return DivisorClass(space, lam=draw(coefficients()), delta_irr=draw(coefficients()),
+                        **psi, **boundary)
+
+
+# n <= 4, so at most 24 relabellings; rows g/2 of (4, 2), (6, 3) and (4, 4) are
+# split by label 1, and there (g/2, s) and (g/2, n-s) are one orbit of the relabellings
+SYMMETRIZE_SPACES = [Space(2, 0), Space(2, 3), Space(4, 2), Space(5, 1), Space(6, 3),
+                     Space(3, 4), Space(4, 4)]
+
+
+class TestSymmetrized:
+    @pytest.mark.parametrize("space", SYMMETRIZE_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_the_dense_average(self, space, data):
+        cls = data.draw(symmetrize_classes(space))
+        sym = cls.symmetrized()
+        assert sym == dense_average(cls)
+        assert sym.psi_symmetric and sym.boundary_items() == []
+        again = sym.symmetrized()
+        assert again == sym and serialize(again) == serialize(sym)
+
+    @pytest.mark.parametrize("space", SYMMETRIZE_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_commutes_with_add_and_scale(self, space, data):
+        a, b = data.draw(symmetrize_classes(space)), data.draw(symmetrize_classes(space))
+        assert a.add(b).symmetrized() == a.symmetrized().add(b.symmetrized())
+        k = data.draw(st.sampled_from([Fraction(-2), Fraction(0), Fraction(1, 3), Fraction(3)]))
+        assert a.scale(k).symmetrized() == a.symmetrized().scale(k)
+
+    def test_middle_row_orbits_share_their_mean(self):
+        # on (4, 3), delta_{2:{1}} = delta_{2:{2,3}}: relabelling it gives the
+        # three divisors delta_{2:{j}}, one in (2, 1) and two in (2, 2)
+        space = Space(4, 3)
+        sym = DivisorClass(space, boundary_sym={(2, 1): 3}).symmetrized()
+        assert sym.orbit_coefficient(2, 1) == sym.orbit_coefficient(2, 2) == Coefficient.exact(1)
+        row = DivisorClass(space, boundary_rows={2: Row.formula("at_least", (0, 3))})
+        # s f(s) + (n-s) f(n-s) over n, for f(s) = 3s: (3s^2 + 3(3-s)^2) / 3
+        assert row.symmetrized().orbit_coefficient(2, 1) == Coefficient.at_least(5)
+        assert row.symmetrized().orbit_coefficient(2, 3) == Coefficient.at_least(9)
+
+    @pytest.mark.parametrize("t", range(7))
+    def test_identity_on_the_family(self, t):
+        q = quad_class(t)
+        assert q.symmetrized() == q
+        assert serialize(q.symmetrized()) == serialize(q)
+
+    @pytest.mark.parametrize("g,n", [(2, 3), (4, 3), (6, 5), (12, 10), (16, 8), (17, 8)])
+    def test_identity_on_the_canonical_class(self, g, n):
+        k = canonical_class(g, n)
+        assert k.symmetrized() == k
+
+    def test_reads_listed_entries_only(self, boundary_orbit_yields):
+        q = quad_class(40)
+        yielded = boundary_orbit_yields()
+        q.symmetrized()
+        assert yielded == []

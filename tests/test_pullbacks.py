@@ -14,17 +14,47 @@ from mgn_divisors.picard import (
     UNKNOWN,
     boundary_orbits,
     row_count,
+    serialize,
 )
-from mgn_divisors.pullbacks import (
-    ClutchingMap,
-    TailAttachment,
-    average_over_pairs,
-    clutch_pullback,
-    forgetful_pullback,
-)
-from mgn_divisors.presets import averaged_class, bn5_pullback, ordered_pairs, quad3_pullback
+from mgn_divisors.pullbacks import ClutchingMap, TailAttachment, clutch_pullback, forgetful_pullback
+from mgn_divisors.presets import PAIR_TAILS, averaged_class, bn5_pullback, quad3_pullback
 
 from conftest import stored_boundary_entries
+
+
+def ordered_pairs(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+
+
+def pair_average(g):
+    """The reference for averaged_class(g): quad3_pullback along each of the
+    56 ordered pairs of labels, summed, then scaled by the normalization over
+    56."""
+    q3 = quad_class(3)
+    family = [quad3_pullback(q3, g, i, j) for i, j in ordered_pairs(8)]
+    total = family[0]
+    for cls in family[1:]:
+        total = total.add(cls)
+    return total.scale(Fraction(PAIR_TAILS[g][2], len(family)))
+
+
+@pytest.fixture()
+def clutch_pullback_calls(monkeypatch):
+    """Count clutching pullbacks: `clutch_pullback_calls(*modules)` rebinds the
+    name in each given module to a counting wrapper, and returns the list of
+    maps pulled back along, in call order."""
+    maps = []
+
+    def counting(cls, m):
+        maps.append(m)
+        return clutch_pullback(cls, m)
+
+    def install(*modules):
+        for module in modules:
+            monkeypatch.setattr(module, "clutch_pullback", counting)
+        return maps
+
+    return install
 
 
 def fanned_out(cls, n):
@@ -116,6 +146,28 @@ class TestClutchingMap:
         with pytest.raises(ValueError, match="unstable"):
             TailAttachment(1, 0, {7})
 
+    def test_negative_tail_genus_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            TailAttachment(1, -1, {7, 8})
+
+    def test_balanced_negative_genus_rejected_before_the_map(self):
+        # 16 + 1 - 1 = 16 balances the genus bookkeeping; the negative tail is
+        # refused when it is built, not inside clutch_pullback
+        with pytest.raises(ValueError, match="negative"):
+            ClutchingMap(
+                Space(16, 8), Space(16, 10),
+                attachments=(TailAttachment(1, 1, {7, 8}), TailAttachment(2, -1, {9, 10})),
+                retained={j: j - 2 for j in range(3, 9)},
+            )
+
+    @pytest.mark.parametrize("at_label,genus,labels", [
+        (1, 1.0, {7, 8}), (1, True, {7, 8}), (True, 0, {7, 8}), (1.0, 0, {7, 8}),
+        (1, 0, {7.0, 8}),
+    ], ids=["float-genus", "bool-genus", "bool-label", "float-label", "float-tail-label"])
+    def test_non_int_genus_or_label_rejected(self, at_label, genus, labels):
+        with pytest.raises(ValueError, match="not an int"):
+            TailAttachment(at_label, genus, labels)
+
     def test_genus_bookkeeping(self):
         with pytest.raises(ValueError, match="genus"):
             ClutchingMap(
@@ -203,9 +255,16 @@ class TestClutchPullback:
 
 
 class TestAveraging:
-    def test_empty_family_rejected(self):
-        with pytest.raises(ValueError):
-            average_over_pairs([])
+    @pytest.mark.parametrize("g", [16, 17], ids=lambda g: f"averaged_class_{g}_8")
+    def test_equals_the_average_of_every_pair_pullback(self, g):
+        assert averaged_class(g) == pair_average(g)
+        assert serialize(averaged_class(g)) == serialize(pair_average(g))
+
+    @pytest.mark.parametrize("g", [16, 17], ids=lambda g: f"averaged_class_{g}_8")
+    def test_builds_one_clutching_pullback(self, clutch_pullback_calls, g):
+        maps = clutch_pullback_calls(presets)
+        averaged_class(g)
+        assert len(maps) == 1
 
     def test_averaged_16_8(self):
         out = averaged_class(16)
