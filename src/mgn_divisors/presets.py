@@ -1,10 +1,12 @@
-"""Concrete pullback families and certificate recipes for the three spaces of
-interest: (16,8), (17,8) and (12,10).
+"""Certificate recipes for the three spaces of interest, (16,8), (17,8) and
+(12,10), and the pullback families they use.
 
-The averaged classes are one pullback, symmetrized: the clutching pullback of
-the t=3 family class on the 10-pointed genus-17 space at one pair of labels,
-averaged over the relabellings of the 8 points, which act transitively on the
-56 ordered pairs.  The normalizations in PAIR_TAILS reproduce the reference
+RECIPES maps (g, n) to the certificate's components in order, each a name and
+one source: a pair average, or the catalog entry of that name.  A pair average
+is one pullback, symmetrized: the clutching pullback of the t=3 family class
+along the map gluing 2-pointed tails of the recipe's genera at one pair of
+labels, averaged over the relabellings of the 8 points, which act
+transitively on the 56 ordered pairs.  Its scale reproduces the reference
 integral coefficients (40/37/8 and 20/19/4); any positive rescaling gives the
 same certificate.
 """
@@ -16,60 +18,60 @@ from .family import quad_class
 from .picard import DivisorClass, MalformedClassError, Space
 from .pullbacks import ClutchingMap, TailAttachment, clutch_pullback, forgetful_pullback
 
-# g -> (tail genus at i, tail genus at j, normalization) on the 8-pointed space
-PAIR_TAILS = {16: (1, 0, 8), 17: (0, 0, 4)}
+# (g, n) -> ((name, source), ...).  A source is a pair average on 8 points,
+# (tail genus at i, tail genus at j, scale), or the n of the space the catalog
+# entry lives on: 0 is the unmarked space, pulled back forgetfully to n points.
+RECIPES = {
+    (16, 8): (("D_16_8", (1, 0, 8)), ("Z16", 0)),
+    (17, 8): (("D_17_8", (0, 0, 4)), ("BN17", 8)),
+    (12, 10): (("D12", 0), ("F12_10", 10)),
+}
+
+
+def _pair_tails(g: int) -> tuple:
+    """(tail genus at i, tail genus at j, scale) of the (g, 8) pair average."""
+    return next(source for _, source in RECIPES[(g, 8)] if isinstance(source, tuple))
 
 
 def quad3_pullback(q3: DivisorClass, g: int, i: int, j: int) -> DivisorClass:
     """Pullback of the t=3 class q3 = quad_class(3) to the 8-pointed genus-g
-    space along the map attaching 2-pointed tails of the PAIR_TAILS[g] genera
-    at labels i and j; retained labels fill target labels 1..6 in order, the
-    tails take 7, 8 and 9, 10."""
-    genus_i, genus_j, _ = PAIR_TAILS[g]
-    source = Space(g, 8)
+    space along the map attaching 2-pointed tails of the (g, 8) recipe's
+    genera at labels i and j; retained labels fill the first labels of
+    q3.space in order, the tails take the last four in pairs."""
+    genus_i, genus_j, _ = _pair_tails(g)
+    source, target = Space(g, 8), q3.space
     retained = [l for l in source.labels if l not in (i, j)]
+    *_, a, b, c, d = target.labels
     m = ClutchingMap(
         source,
-        Space(17, 10),
-        attachments=(TailAttachment(i, genus_i, {7, 8}), TailAttachment(j, genus_j, {9, 10})),
-        retained={s: t for t, s in enumerate(retained, start=1)},
+        target,
+        attachments=(TailAttachment(i, genus_i, {a, b}), TailAttachment(j, genus_j, {c, d})),
+        retained=dict(zip(retained, target.labels)),
     )
     return clutch_pullback(q3, m)
 
 
 def averaged_class(g: int) -> DivisorClass:
     """D_g_8: quad3_pullback at one pair, symmetrized, which is its average over
-    the 56 ordered pairs, scaled by the normalization of PAIR_TAILS[g]."""
-    return quad3_pullback(quad_class(3), g, 1, 2).symmetrized().scale(PAIR_TAILS[g][2])
+    the 56 ordered pairs, scaled by the (g, 8) recipe's scale."""
+    return quad3_pullback(quad_class(3), g, 1, 2).symmetrized().scale(_pair_tails(g)[2])
 
 
-def _catalog_class(name: str, catalog, space: Space) -> DivisorClass:
-    """The class of catalog entry `name`, checked to live on `space`."""
+def _component(name: str, source, g: int, n: int, catalog) -> DivisorClass:
+    """The class of one recipe component on (g, n)."""
+    if isinstance(source, tuple):
+        return averaged_class(g)
     cls = catalog_get(name, catalog).cls
-    if cls.space != space:
-        raise MalformedClassError(
-            f"catalog entry {name!r} must be a class on (g={space.g}, n={space.n})")
-    return cls
+    if cls.space != Space(g, source):
+        raise MalformedClassError(f"catalog entry {name!r} must be a class on (g={g}, n={source})")
+    return forgetful_pullback(cls, n) if source == 0 else cls
 
 
 def certificate_components(g: int, n: int, catalog=None):
-    """Named effective classes feeding the certificate for a supported space."""
-    if (g, n) == (16, 8):
-        return [
-            ("D_16_8", averaged_class(16)),
-            ("Z16", forgetful_pullback(_catalog_class("Z16", catalog, Space(16, 0)), 8)),
-        ]
-    if (g, n) == (17, 8):
-        return [
-            ("D_17_8", averaged_class(17)),
-            ("BN17", _catalog_class("BN17", catalog, Space(17, 8))),
-        ]
-    if (g, n) == (12, 10):
-        return [
-            ("D12", forgetful_pullback(_catalog_class("D12", catalog, Space(12, 0)), 10)),
-            ("F12_10", _catalog_class("F12_10", catalog, Space(12, 10))),
-        ]
-    raise ValueError(f"no certificate recipe for (g, n) = ({g}, {n})")
+    """The named effective classes of the (g, n) recipe, in order."""
+    if (g, n) not in RECIPES:
+        raise ValueError(f"no certificate recipe for (g, n) = ({g}, {n})")
+    return [(name, _component(name, source, g, n, catalog)) for name, source in RECIPES[(g, n)]]
 
 
 def certify(g: int, n: int, catalog=None):

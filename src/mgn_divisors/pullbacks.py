@@ -74,7 +74,7 @@ class TailAttachment:
 class ClutchingMap:
     """Gluing map from source into target given by fixed tails at some of the
     source's marked points; retained maps the remaining source labels to
-    target labels."""
+    target labels, both ints, as in a boundary index."""
 
     source: Space
     target: Space
@@ -85,6 +85,8 @@ class ClutchingMap:
                  attachments: Sequence[TailAttachment],
                  retained: Mapping[int, int]):
         attachments = tuple(attachments)
+        for pair in retained.items():
+            _check_index_types(0, pair)  # source and target labels; no genus here
         retained = tuple(sorted(retained.items()))
         at_labels = {a.at_label for a in attachments}
         if len(at_labels) != len(attachments):
@@ -103,17 +105,6 @@ class ClutchingMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "attachments", attachments)
         object.__setattr__(self, "retained", retained)
-
-    def to_json(self) -> dict:
-        return {
-            "source": {"g": self.source.g, "n": self.source.n},
-            "target": {"g": self.target.g, "n": self.target.n},
-            "attachments": [
-                {"at": a.at_label, "genus": a.tail_genus, "labels": sorted(a.tail_labels)}
-                for a in self.attachments
-            ],
-            "retained": {str(s): t for s, t in self.retained},
-        }
 
 
 def clutch_pullback(cls: DivisorClass, m: ClutchingMap) -> DivisorClass:

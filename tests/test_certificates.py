@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mgn_divisors import certificates, checks
+from mgn_divisors import certificates, checks, presets
 from mgn_divisors.certificates import (
     CertificateError,
     InfeasibleCertificateError,
@@ -21,7 +21,7 @@ from mgn_divisors.picard import (
     Coefficient, DivisorClass, MalformedClassError, Space,
     TestCurve as Pencil, UNKNOWN, boundary_orbits,
     class_to_dict, intersect_test_curve, serialize)
-from mgn_divisors.presets import certificate_components, certify
+from mgn_divisors.presets import RECIPES, certificate_components, certify
 from mgn_divisors.pullbacks import forgetful_pullback
 
 from conftest import write_catalog
@@ -376,3 +376,23 @@ class TestSolveCertificate:
         assert boundary[-1] == {"i": 1, "S": [1], "status": "zero"}
         assert {"i": 1, "s": 1, "status": "negative"} in boundary
         assert all("s" in row for row in boundary[:-1])
+
+
+class TestRecipes:
+    @pytest.mark.parametrize("g,n", sorted(RECIPES))
+    def test_components_follow_the_recipe(self, g, n):
+        comps = certificate_components(g, n)
+        assert [nm for nm, _ in comps] == [nm for nm, _ in RECIPES[(g, n)]]
+        assert all(cls.space == Space(g, n) for _, cls in comps)
+
+    def test_every_recipe_is_checked_against_published_values(self):
+        """A recipe added without a reference value in check_certificates fails here."""
+        checked = {values for op, values, *_ in checks.check_certificates()
+                   if op.name == "certificate"}
+        assert checked == set(RECIPES)
+
+    def test_tails_that_miss_the_genus_fail_where_the_map_is_built(self, monkeypatch):
+        # two rational tails on genus 16 reach genus 16, not the family's 17
+        monkeypatch.setitem(presets.RECIPES, (16, 8), (("D_16_8", (0, 0, 8)), ("Z16", 0)))
+        with pytest.raises(ValueError, match="genus bookkeeping"):
+            certificate_components(16, 8)

@@ -497,6 +497,13 @@ PINNED_STDOUT = {
         "510d08c8d40f10a6ffdc83304d91ccc1301e807fb6bd7f253e38a4c6b7de5ca6",
     "verify grr --t-max 40 --json":
         "038c3bdb1308a61adc91a73d432db3d382e388e8bc37582e6a1860f8f15d41f7",
+    # the three certificates' recipes, in text mode
+    "certify --g 12 --n 10":
+        "f8c829485ae97e201625031ba292d5ba905711cb8ef7674785701e7e48415bdf",
+    "verify certificates":
+        "ebda3feb41bc6e3f7bb84686c514fbd69c48db2d86f297035dbad881248e49b8",
+    "verify pullbacks":
+        "0e8ffafa6180840d706945ad37eba3738ee065dbd1c11e1c0e4a4f484dd5aff0",
 }
 
 

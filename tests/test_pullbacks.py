@@ -17,7 +17,7 @@ from mgn_divisors.picard import (
     serialize,
 )
 from mgn_divisors.pullbacks import ClutchingMap, TailAttachment, clutch_pullback, forgetful_pullback
-from mgn_divisors.presets import PAIR_TAILS, averaged_class, bn5_pullback, quad3_pullback
+from mgn_divisors.presets import RECIPES, averaged_class, bn5_pullback, quad3_pullback
 
 from conftest import stored_boundary_entries
 
@@ -35,7 +35,8 @@ def pair_average(g):
     total = family[0]
     for cls in family[1:]:
         total = total.add(cls)
-    return total.scale(Fraction(PAIR_TAILS[g][2], len(family)))
+    _, _, scale = dict(RECIPES[(g, 8)])[f"D_{g}_8"]
+    return total.scale(Fraction(scale, len(family)))
 
 
 @pytest.fixture()
@@ -192,15 +193,18 @@ class TestClutchingMap:
                 retained={j: j - 2 for j in range(3, 8)},
             )
 
-    def test_json_shape(self):
-        m = ClutchingMap(
-            Space(16, 8), Space(17, 10),
-            attachments=(TailAttachment(1, 1, {7, 8}), TailAttachment(2, 0, {9, 10})),
-            retained={j: j - 2 for j in range(3, 9)},
-        )
-        doc = m.to_json()
-        assert doc["source"] == {"g": 16, "n": 8}
-        assert doc["attachments"][0]["labels"] == [7, 8]
+    @pytest.mark.parametrize("retained", [
+        {3: 1.0, **{j: j - 2 for j in range(4, 9)}},
+        {3.0: 1, **{j: j - 2 for j in range(4, 9)}},
+        {3: True, **{j: j - 2 for j in range(4, 9)}},
+    ], ids=["float-target", "float-source", "bool-target"])
+    def test_non_int_retained_label_rejected(self, retained):
+        with pytest.raises(ValueError, match="not an int"):
+            ClutchingMap(
+                Space(16, 8), Space(17, 10),
+                attachments=(TailAttachment(1, 1, {7, 8}), TailAttachment(2, 0, {9, 10})),
+                retained=retained,
+            )
 
 
 class TestClutchPullback:
