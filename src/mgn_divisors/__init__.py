@@ -40,7 +40,7 @@ from .picard import (
     intersect_test_curve,
     serialize,
 )
-from .grr import FiberwiseLineBundle, c1_pushforward, porteous_equal_rank, uniform_bundle
+from .grr import c1_pushforward, porteous_equal_rank
 from .pullbacks import ClutchingMap, TailAttachment, clutch_pullback, forgetful_pullback
 from .certificates import (
     Certificate,
@@ -59,7 +59,6 @@ __all__ = [
     "ClutchingMap",
     "Coefficient",
     "DivisorClass",
-    "FiberwiseLineBundle",
     "InsufficientInformationError",
     "LinearSystem",
     "MalformedClassError",
@@ -97,7 +96,6 @@ __all__ = [
     "solve_certificate",
     "solve_linear",
     "tilde_b",
-    "uniform_bundle",
     "verify_b1_recurrence",
     "verify_balance",
     "verify_tilde_recurrence",

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .exact import LinearSystem, rat_str, solve_linear
-from .grr import c1_pushforward, total_boundary, uniform_bundle
+from .grr import c1_pushforward, total_boundary
 from .picard import (
     Coefficient,
     DivisorClass,
@@ -79,7 +79,7 @@ def canonical_class(g: int, n: int) -> DivisorClass:
     """
     space = Space(g, n)
     elliptic_tail = canonical_index(space, 1, ())
-    return (c1_pushforward(space, uniform_bundle(2, 1))
+    return (c1_pushforward(space, 2, 1)
             .add(total_boundary(space, -1))
             .add(DivisorClass(space, boundary_sym={(elliptic_tail.i, elliptic_tail.s): -1})))
 

@@ -35,7 +35,7 @@ from .family import (
     verify_balance,
     verify_tilde_recurrence,
 )
-from .grr import c1_pushforward, porteous_equal_rank, total_boundary, uniform_bundle
+from .grr import c1_pushforward, porteous_equal_rank, total_boundary
 from .picard import CANONICAL_JSON, DivisorClass
 from .presets import averaged_class, bn5_pullback, certify, quad3_pullback
 
@@ -149,8 +149,8 @@ def check_recurrences(t_max: int = 8):
 def check_grr(t_max: int = 8):
     for t0 in range(t_max + 1):
         space = family_space(t0)
-        e = c1_pushforward(space, uniform_bundle(1, -1))
-        f = c1_pushforward(space, uniform_bundle(2, -2))
+        e = c1_pushforward(space, 1, -1)
+        f = c1_pushforward(space, 2, -2)
         expected_e = DivisorClass(space, lam=1, psi=-1)
         expected_f = DivisorClass(space, lam=13, psi=-5).add(total_boundary(space, -1))
         yield record(Op("grr_once_twisted", "t"), (t0,), e == expected_e, True)

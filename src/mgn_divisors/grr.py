@@ -1,38 +1,16 @@
 """First-Chern-class engine for pushforwards along the universal curve.
 
-Handles exactly the line bundles of the shape omega^a(sum m_j Delta_j) on the
-universal curve over the n-pointed space, where Delta_j = delta_{0:{j,n+1}};
-nothing more general is needed, and the degree-2 pushforward rule table is
-total on that shape.  Also the equal-rank Porteous step.
+Handles exactly the line bundles omega^a(m sum_j Delta_j), a >= 1, on the
+universal curve over the n-pointed space, where Delta_j = delta_{0:{j,n+1}}
+and every marked point carries the same twist m; nothing more general is
+needed, and the degree-2 pushforward rule table is total on that shape.
+Also the equal-rank Porteous step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
-
 from .exact import half
 from .picard import Coefficient, DivisorClass, Space
-
-
-@dataclass(frozen=True)
-class FiberwiseLineBundle:
-    """omega_pi^power twisted by sum over j of m_j * Delta_j, where m_j is
-    twists[j] at a listed label and `twist` at every other label."""
-
-    power: int
-    twists: tuple  # ((label, m_j), ...) sorted
-    twist: int
-
-    def __init__(self, power: int, twists: Mapping[int, int], twist: int = 0):
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "twists", tuple(sorted(twists.items())))
-        object.__setattr__(self, "twist", twist)
-
-
-def uniform_bundle(power: int, twist: int) -> FiberwiseLineBundle:
-    """The same twist at every marked point, on any space."""
-    return FiberwiseLineBundle(power, {}, twist)
 
 
 def total_boundary(space: Space, scalar=1) -> DivisorClass:
@@ -41,8 +19,9 @@ def total_boundary(space: Space, scalar=1) -> DivisorClass:
     return DivisorClass(space, delta_irr=c, boundary_rest=c)
 
 
-def c1_pushforward(space: Space, bundle: FiberwiseLineBundle) -> DivisorClass:
-    """c1 of the pushforward of the bundle along the forgetful map.
+def c1_pushforward(space: Space, power: int, twist: int) -> DivisorClass:
+    """c1 of the pushforward of omega^power(twist * sum Delta_j) along the
+    forgetful map.
 
     Grothendieck-Riemann-Roch in degree 1:
 
@@ -51,23 +30,29 @@ def c1_pushforward(space: Space, bundle: FiberwiseLineBundle) -> DivisorClass:
     with c1(omega) = psi_{n+1} - sum Delta_j and the rule table
     push(psi^2) = kappa_1 = 12 lambda - delta + sum psi_j,
     push(psi Delta_j) = 0, push(Delta_j Delta_k) = 0, push(Delta_j^2) = -psi_j.
-    The R1 term is taken to be zero: its identification is geometric, not
-    computable here, and no bundle used in this package needs it.
+    The table drops c1(R1).  For power >= 2 R1 vanishes on the bundles used
+    here, and for power 1 with twist >= 0 it is O or 0.  For power 1 with a
+    negative twist (the paper's E) the R1 term is taken to be zero: its
+    identification is geometric, not computable here, and no bundle used in
+    this package needs it.  Below power 1 the table is wrong (pi_* O = O has
+    c1 = 0), so a power < 1, or a power or twist that is not an int, raises
+    ValueError.
     """
-    a = bundle.power
-    # (c1(L)^2 - c1(L) c1(omega)) has psi^2 coefficient a^2 - a and
-    # Delta_j^2 coefficient d_j^2 + d_j; cross terms push forward to zero.
-    # Both are products of consecutive integers, so their halves are ints.
-    kappa_weight = half(a * a - a)
-    # upstairs: c1(L) = a psi_{n+1} + sum d_j Delta_j with d_j = m_j - a;
-    # one psi coefficient per distinct twist m
-    psi_of = {m: Coefficient.exact(kappa_weight - half((m - a) * (m - a + 1)))
-              for m in {bundle.twist, *(m for _, m in bundle.twists)}}
+    if type(power) is not int or type(twist) is not int:
+        raise ValueError(f"power {power!r} and twist {twist!r} must be ints")
+    if power < 1:
+        raise ValueError(f"power {power} < 1: R1 pi_* L is not zero there")
+    # upstairs: c1(L) = a psi_{n+1} + d sum Delta_j with a = power and
+    # d = twist - a.  (c1(L)^2 - c1(L) c1(omega)) has psi^2 coefficient
+    # a^2 - a and Delta_j^2 coefficient d^2 + d; cross terms push forward to
+    # zero.  Both are products of consecutive integers, so their halves are
+    # ints.
+    kappa_weight = half(power * power - power)
+    d = twist - power
     return DivisorClass(
         space,
         lam=1 + 12 * kappa_weight,
-        psi={j: psi_of[m] for j, m in bundle.twists},
-        psi_rest=psi_of[bundle.twist],
+        psi=kappa_weight - half(d * d + d),
         delta_irr=-kappa_weight,
         boundary_rest=-kappa_weight,
     )
@@ -77,6 +62,8 @@ def porteous_equal_rank(c1_e: DivisorClass, rank_e: int,
                         c1_f: DivisorClass) -> DivisorClass:
     """Degeneracy class of Sym^2 E -> F when both sides have equal rank:
     c1(F) - (rank E + 1) c1(E), using c1(Sym^2 E) = (rank E + 1) c1(E)."""
+    if type(rank_e) is not int:
+        raise ValueError(f"rank {rank_e!r} is not an int")
     if rank_e < 1:
         raise ValueError("rank must be >= 1")
     return c1_f.add(c1_e.scale(-(rank_e + 1)))

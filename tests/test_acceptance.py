@@ -20,7 +20,7 @@ from mgn_divisors.family import (
     verify_balance,
     verify_tilde_recurrence,
 )
-from mgn_divisors.grr import c1_pushforward, porteous_equal_rank, total_boundary, uniform_bundle
+from mgn_divisors.grr import c1_pushforward, porteous_equal_rank, total_boundary
 from mgn_divisors.picard import (
     Coefficient,
     DivisorClass,
@@ -77,8 +77,8 @@ def test_criterion_4_grr_engine():
     ok = True
     for t in range(9):
         space = family_space(t)
-        e = c1_pushforward(space, uniform_bundle(1, -1))
-        f = c1_pushforward(space, uniform_bundle(2, -2))
+        e = c1_pushforward(space, 1, -1)
+        f = c1_pushforward(space, 2, -2)
         ok = ok and e == DivisorClass(space, lam=1, psi=-1)
         ok = ok and f == DivisorClass(space, lam=13, psi=-5).add(total_boundary(space, -1))
         d1 = porteous_equal_rank(e, t + 4, f)

@@ -504,6 +504,11 @@ PINNED_STDOUT = {
         "ebda3feb41bc6e3f7bb84686c514fbd69c48db2d86f297035dbad881248e49b8",
     "verify pullbacks":
         "0e8ffafa6180840d706945ad37eba3738ee065dbd1c11e1c0e4a4f484dd5aff0",
+    # K on an unmarked space: the GRR pushforward with no labels
+    "class canonical --g 12 --n 0 --json":
+        "c3775f38c08fff4d6ff17913a38d81a76bbe16de723a758ba386a9e22be5c29b",
+    "class canonical --g 17 --n 0":
+        "7f6db84820d9525c65e83284568b51c5fd470ba549bc777d6e37ffdb50450fca",
 }
 
 

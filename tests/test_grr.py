@@ -1,16 +1,11 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from mgn_divisors import checks
 from mgn_divisors.family import family_space, quad_class
-from mgn_divisors.grr import (
-    FiberwiseLineBundle,
-    c1_pushforward,
-    porteous_equal_rank,
-    total_boundary,
-    uniform_bundle,
-)
+from mgn_divisors.grr import c1_pushforward, porteous_equal_rank, total_boundary
 from mgn_divisors.picard import Coefficient, DivisorClass, Space, serialize
 
 
@@ -20,28 +15,58 @@ SPACE = Space(5, 3)
 class TestPushforward:
     def test_once_twisted(self):
         """omega(-sum Delta_j) pushes to lambda - sum psi_j."""
-        out = c1_pushforward(SPACE, uniform_bundle(1, -1))
+        out = c1_pushforward(SPACE, 1, -1)
         assert out == DivisorClass(SPACE, lam=1, psi=-1)
 
     def test_twice_twisted(self):
         """omega^2(-2 sum Delta_j) pushes to 13 lambda - 5 sum psi_j - delta."""
-        out = c1_pushforward(SPACE, uniform_bundle(2, -2))
+        out = c1_pushforward(SPACE, 2, -2)
         assert out == DivisorClass(SPACE, lam=13, psi=-5).add(total_boundary(SPACE, -1))
 
     def test_untwisted_hodge(self):
         """omega itself pushes to the Hodge class."""
-        out = c1_pushforward(SPACE, FiberwiseLineBundle(1, {}))
+        out = c1_pushforward(SPACE, 1, 0)
         assert out == DivisorClass(SPACE, lam=1)
 
-    def test_mixed_twists(self):
-        bundle = FiberwiseLineBundle(1, {1: -1})
-        out = c1_pushforward(SPACE, bundle)
-        assert out.psi_coefficient(1) == Coefficient.exact(-1)
-        assert out.psi_coefficient(2) == Coefficient.exact(0)
-
-    def test_foreign_twist_labels_rejected(self):
+    @pytest.mark.parametrize("power, twist", [(0, 0), (-1, 0)])
+    def test_power_below_one_rejected(self, power, twist):
+        """The rule table drops R1: pi_* O = O has c1 = 0 and pi_* omega^-1
+        = 0, but the table would give lambda and 13 lambda - delta."""
         with pytest.raises(ValueError):
-            c1_pushforward(SPACE, FiberwiseLineBundle(1, {9: -1}))
+            c1_pushforward(SPACE, power, twist)
+
+    @pytest.mark.parametrize("power, twist", [
+        (True, 0), (1, False), (2.0, 1), (1, Fraction(-1)), ("1", 0)])
+    def test_non_int_power_or_twist_rejected(self, power, twist):
+        with pytest.raises(ValueError):
+            c1_pushforward(SPACE, power, twist)
+
+
+LITERATURE_SPACES = [Space(5, 0), Space(5, 3), Space(16, 8), Space(173, 153)]
+
+
+class TestLiterature:
+    """The engine against closed forms from the literature, built from
+    DivisorClass, total_boundary and scale alone."""
+
+    @pytest.mark.parametrize("space", LITERATURE_SPACES, ids=lambda s: f"{s.g},{s.n}")
+    @pytest.mark.parametrize("a", range(2, 6))
+    def test_mumford_untwisted(self, space, a):
+        """Mumford (1983, section 5): c1 pi_* omega^a = lambda + C(a,2) kappa
+        with kappa = pi_*(c1(omega)^2) = 12 lambda - delta."""
+        kappa = DivisorClass(space, lam=12).add(total_boundary(space, -1))
+        expected = DivisorClass(space, lam=1).add(kappa.scale(comb(a, 2)))
+        assert c1_pushforward(space, a, 0) == expected
+
+    @pytest.mark.parametrize("space", LITERATURE_SPACES, ids=lambda s: f"{s.g},{s.n}")
+    @pytest.mark.parametrize("a", range(2, 6))
+    def test_arbarello_cornalba_log(self, space, a):
+        """omega^a(a sum Delta_j) is the a-th power of the log dualizing sheaf:
+        lambda + C(a,2) kappa_1 with kappa_1 = 12 lambda - delta + sum psi_j
+        (Arbarello-Cornalba 1996)."""
+        kappa = DivisorClass(space, lam=12, psi=1).add(total_boundary(space, -1))
+        expected = DivisorClass(space, lam=1).add(kappa.scale(comb(a, 2)))
+        assert c1_pushforward(space, a, a) == expected
 
 
 class TestPorteous:
@@ -50,12 +75,22 @@ class TestPorteous:
         with pytest.raises(ValueError):
             porteous_equal_rank(e, 0, e)
 
+    def test_bool_rank_rejected(self):
+        e = DivisorClass(SPACE, lam=1)
+        with pytest.raises(ValueError):
+            porteous_equal_rank(e, True, e)
+
+    def test_float_rank_rejected(self):
+        e = DivisorClass(SPACE, lam=1)
+        with pytest.raises(ValueError):
+            porteous_equal_rank(e, 4.0, e)
+
     @pytest.mark.parametrize("t", range(0, 9))
     def test_family_class_from_first_principles(self, t):
         """The full pipeline reproduces the family class on the interior part."""
         space = family_space(t)
-        e = c1_pushforward(space, uniform_bundle(1, -1))
-        f = c1_pushforward(space, uniform_bundle(2, -2))
+        e = c1_pushforward(space, 1, -1)
+        f = c1_pushforward(space, 2, -2)
         d1 = porteous_equal_rank(e, t + 4, f)
         expected = DivisorClass(space, lam=8 - t, psi=Fraction(t)).add(
             total_boundary(space, -1))
@@ -106,8 +141,7 @@ def test_psi_work_does_not_grow_with_n(monkeypatch):
             count(lambda: b.scale(Fraction(-1, 2))),
             count(lambda: a == b),
             count(lambda: a == a.scale(1)),
-            count(lambda: c1_pushforward(space, uniform_bundle(2, -2))),
-            count(lambda: c1_pushforward(space, FiberwiseLineBundle(1, {1: -1}))),
+            count(lambda: c1_pushforward(space, 2, -2)),
         ]
 
     small = costs(Space(17, 10))
