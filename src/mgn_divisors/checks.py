@@ -41,9 +41,7 @@ from .presets import averaged_class, bn5_pullback, certify, quad3_pullback
 
 
 def _fmt(x) -> str:
-    if type(x) is int:  # the grid sweeps' values; bool goes through rat_str
-        return str(x)
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)):  # a bool too, which rat_str prints as 1 or 0
         return rat_str(x)
     if isinstance(x, Poly):
         return repr(x)
@@ -79,7 +77,12 @@ def record(op: Op, values: tuple, lhs, rhs, ok=None) -> tuple:
         ok = lhs == rhs
     if type(ok) is not bool:
         raise TypeError(f"a check passes or fails, got {ok!r}")
+    if type(lhs) is int and type(rhs) is int:  # the grid cells
+        return op, values, str(lhs), str(rhs), ok
     return op, values, _fmt(lhs), _fmt(rhs), ok
+
+
+_INT = {int}
 
 
 def json_row(r) -> str:
@@ -88,8 +91,9 @@ def json_row(r) -> str:
     op, values, lhs, rhs, ok = r
     if op.order is not None:
         values = [values[k] for k in op.order]
-    return op.row % (*[v if type(v) is int else CANONICAL_JSON.encode(v) for v in values],
-                     encode_basestring_ascii(lhs), "true" if ok else "false",
+    if not _INT.issuperset(map(type, values)):  # an int is its own JSON
+        values = [v if type(v) is int else CANONICAL_JSON.encode(v) for v in values]
+    return op.row % (*values, encode_basestring_ascii(lhs), "true" if ok else "false",
                      encode_basestring_ascii(rhs))
 
 

@@ -243,19 +243,6 @@ class Poly:
     def __bool__(self):
         return bool(self.terms)
 
-    def eval(self, assignment) -> Fraction:
-        """Exact evaluation; every variable must be bound."""
-        missing = [v for v in self.variables if v not in assignment]
-        if missing:
-            raise ValueError(f"missing variable binding(s): {', '.join(missing)}")
-        total = Fraction(0)
-        for expo, coef in self.terms.items():
-            v = coef
-            for name, e in zip(self.variables, expo):
-                v *= rat(assignment[name]) ** e
-            total += v
-        return total
-
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"

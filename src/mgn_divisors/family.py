@@ -96,9 +96,22 @@ def b1(s, t):
     return half(s * s * t + s * s - s * t + s + 6)
 
 
+def _horner(coefficients, x):
+    """The polynomial with these coefficients, highest first, at x."""
+    total = 0
+    for c in coefficients:
+        total = total * x + c
+    return total
+
+
+def _tilde_row(s, t):
+    """Row s of 2 tilde_b(i, s, t): its coefficients in i, highest first."""
+    return t - 3, -(2 * s * (t - 1) + t - 5), s * (s * t + s + t - 1)
+
+
 def tilde_b(i, s, t):
-    """(i^2(t-3) - i(2s(t-1)+t-5) + s(st+s+t-1)) / 2."""
-    return half(i * i * (t - 3) - i * (2 * s * (t - 1) + t - 5) + s * (s * t + s + t - 1))
+    """(i^2(t-3) - i(2s(t-1)+t-5) + s(st+s+t-1)) / 2, per row s a quadratic in i."""
+    return half(_horner(_tilde_row(s, t), i))
 
 
 def known_b(i, s, t):
@@ -150,20 +163,21 @@ def quad_class(t: int) -> DivisorClass:
 def c1_pushforward_L2(i, s, g, n):
     """T_{i:S} . c1 of the pushforward of the squared twisted sheaf, for i < s."""
     _check_lemma_range(i, s, g)
-    return _c1_L2(i, s, g, n)
+    return _horner(_c1_L2_row(s, g, n), i)
 
 
-def _c1_L2(i, s, g, n):
-    # unguarded: tilde_recurrence_grid checks the range once per grid
-    return (
-        -2 * (i * i * (4 * g + 6 * s + 1) + i * (-g * (6 * s + 5) + 3 * n - 2 * s * s + 5))
-        - 2 * s * (g * (2 * s + 3) - 2 * n - 3)
-        + 8 * i ** 3
-    )
+def _c1_L2_row(s, g, n):
+    """8i^3 - 2(i^2(4g+6s+1) + i(-g(6s+5)+3n-2s^2+5)) - 2s(g(2s+3)-2n-3),
+    unguarded, as a cubic in i on row s."""
+    return (8, -2 * (4 * g + 6 * s + 1), 2 * (g * (6 * s + 5) - 3 * n + 2 * s * s - 5),
+            -2 * s * (g * (2 * s + 3) - 2 * n - 3))
 
 
-def _lemma_L(i, s, g, n):
-    return -(i - s) * ((i - s - 1) * (g - i - 1) + n - s)
+def _lemma_row(s, g, n):
+    """T_{i:S} . c1(E) = -(i-s)((i-s-1)(g-i-1) + n-s) = (i-s)(i^2 - (g+s)i - c),
+    c = n-s-(s+1)(g-1), as a cubic in i on row s."""
+    c = n - s - (s + 1) * (g - 1)
+    return 1, -(g + 2 * s), s * (g + s) - c, s * c
 
 
 def _check_lemma_range(i, s, g):
@@ -183,7 +197,7 @@ def d1_phi_prime(i, s, t):
     forms above.
     """
     g, n = gn_pair(t)
-    return c1_pushforward_L2(i, s, g, n) - (t + 5) * _lemma_L(i, s, g, n)
+    return c1_pushforward_L2(i, s, g, n) - (t + 5) * _horner(_lemma_row(s, g, n), i)
 
 
 def _test_curve_rhs(i, s, t, g, n, b_s, b_s1):
@@ -212,19 +226,23 @@ def tilde_recurrence_grid(t: int):
     (i, s, d1_phi_prime(i, s, t), tilde_recurrence_rhs(i, s, t)).
 
     (g, n) is read once, and the lemma range is checked once, on the widest
-    cell (n-1, n): every other cell has a smaller i and s.  Row s computes
-    tilde_b(i, s+1, t) for i < s, and row s+1 reuses these as its
-    tilde_b(i, s+1, t), so each value is computed once.
+    cell (n-1, n): every other cell has a smaller i and s.  Row s computes its
+    i-free parts once: d1_phi_prime's cubic in i, _tilde_row(s+1, t), and
+    2g-2+n-s and n-s of _test_curve_rhs, so a cell is a few int operations.
+    Row s+1 reuses the tilde_b(i, s+1, t) that row s computed.
     """
     g, n = gn_pair(t)
     _check_lemma_range(n - 1, n, g)
-    b_s1 = []  # the row before's tilde_b(i, s, t), i < s - 1
+    b_next = [tilde_b(0, 1, t)]
     for s in range(1, n + 1):
-        b_s = b_s1 + [tilde_b(s - 1, s, t)]
-        b_s1 = [tilde_b(i, s + 1, t) for i in range(s)]
-        for i in range(s):
-            phi = _c1_L2(i, s, g, n) - (t + 5) * _lemma_L(i, s, g, n)
-            yield i, s, phi, _test_curve_rhs(i, s, t, g, n, b_s[i], b_s1[i])
+        a2, a1, a0 = _tilde_row(s + 1, t)
+        b_s, b_next = b_next, [half((a2 * i + a1) * i + a0) for i in range(s + 1)]
+        phi = zip(_c1_L2_row(s, g, n), _lemma_row(s, g, n))
+        k3, k2, k1, k0 = (c - (t + 5) * e for c, e in phi)
+        m = n - s
+        w, mt = 2 * g - 2 + m, m * t
+        for i, b, b1 in zip(range(s), b_s, b_next):
+            yield i, s, ((k3 * i + k2) * i + k1) * i + k0, (w - 2 * i) * b - m * b1 + mt
 
 
 def d1_theta(s, t):
@@ -269,8 +287,8 @@ def verify_b1_recurrence(s, t) -> bool:
 
 def b1_pairing_via_class(q: DivisorClass, s: int) -> Scalar:
     """Same left side, third way: pair the family class q = quad_class(t)
-    with T_{1:{1..s}}."""
-    return intersect_test_curve(q, TestCurve(q.space, 1, frozenset(range(1, s + 1))))
+    with T_{1:{1..s}}, given as a range so that TestCurve checks it in O(1)."""
+    return intersect_test_curve(q, TestCurve(q.space, 1, range(1, s + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,17 @@ def c1_pushforward(space: Space, power: int, twist: int) -> DivisorClass:
     identification is geometric, not computable here, and no bundle used in
     this package needs it.  Below power 1 the table is wrong (pi_* O = O has
     c1 = 0), so a power < 1, or a power or twist that is not an int, raises
-    ValueError.
+    ValueError.  So does a negative fibre degree: c1(L) = power c1(omega) +
+    twist sum Delta_j, and omega and Delta_j have fibre degrees 2g-2 and 1, so
+    L has degree power(2g-2) + twist n; below 0 pi_* L = 0, not the table's
+    c1(pi_! L).
     """
     if type(power) is not int or type(twist) is not int:
         raise ValueError(f"power {power!r} and twist {twist!r} must be ints")
     if power < 1:
         raise ValueError(f"power {power} < 1: R1 pi_* L is not zero there")
+    if (degree := power * (2 * space.g - 2) + twist * space.n) < 0:
+        raise ValueError(f"negative fibre degree {degree}: pi_* L = 0")
     # upstairs: c1(L) = a psi_{n+1} + d sum Delta_j with a = power and
     # d = twist - a.  (c1(L)^2 - c1(L) c1(omega)) has psi^2 coefficient
     # a^2 - a and Delta_j^2 coefficient d^2 + d; cross terms push forward to

@@ -755,11 +755,13 @@ class TestCurve:
     S: frozenset
 
     def __init__(self, space: Space, i: int, S):
+        # range(1, s+1) is the ints 1..s, all marked iff s <= n
+        prefix = type(S) is range and S.start == 1 and S.step == 1
         S = frozenset(S)
-        _check_index_types(i, S)
+        _check_index_types(i, () if prefix else S)
         if not 0 <= i <= space.g:
             raise ValueError(f"genus index {i} outside 0..{space.g}")
-        if not all(1 <= j <= space.n for j in S):
+        if not (len(S) <= space.n if prefix else all(1 <= j <= space.n for j in S)):
             raise ValueError("test-curve labels outside the marked set")
         if not _stable_split(space.g, space.n, i, len(S)):
             raise ValueError(

@@ -1,10 +1,26 @@
 import json
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from mgn_divisors import family, picard
+from mgn_divisors.exact import rat
+
+
+def poly_eval(p, assignment) -> Fraction:
+    """A Poly evaluated exactly at a point; every variable must be bound."""
+    missing = [v for v in p.variables if v not in assignment]
+    if missing:
+        raise ValueError(f"missing variable binding(s): {', '.join(missing)}")
+    total = Fraction(0)
+    for expo, coef in p.terms.items():
+        v = coef
+        for name, e in zip(p.variables, expo):
+            v *= rat(assignment[name]) ** e
+        total += v
+    return total
 
 
 def orbit_members(space, i, s):

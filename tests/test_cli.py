@@ -457,6 +457,8 @@ PINNED_STDOUT = {
         "a90808ed1ef1264fba7a0d0e0d103a9fc949a73df01a0e45165c465e69ff96da",
     "verify recurrences --t-max 11 --json":
         "fca2514caf1d1817036f6ab4fc1a824b660fefae29ef27b5df9fb5b57e091068",
+    "verify recurrences --t-max 16 --json":
+        "02b261651a1bf5cb0f9655b698342e089dd1ddd82e185b920097f96a834213d6",
     "verify grr --t-max 16 --json":
         "d517c1b296312d6460cb828cffb5a005fc4db4c723dc342db692237c70e58983",
     "verify grr --t-max 24 --json":

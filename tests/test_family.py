@@ -9,6 +9,7 @@ from mgn_divisors.family import (
     b0,
     b1,
     b1_pairing_via_class,
+    b1_recurrence_grid,
     b1_recurrence_rhs,
     b_from_pic12,
     balanced_pairs,
@@ -29,7 +30,7 @@ from mgn_divisors.family import (
 )
 from mgn_divisors.picard import Coefficient
 
-from conftest import stored_boundary_entries
+from conftest import poly_eval, stored_boundary_entries
 
 
 TABLE = [(5, 1), (8, 3), (12, 6), (17, 10), (23, 15), (30, 21), (38, 28)]
@@ -175,14 +176,30 @@ class TestRecurrences:
             for i in range(0, s):
                 assert verify_tilde_recurrence(i, s, t)
 
-    @pytest.mark.parametrize("t", range(0, 9))
+    @pytest.mark.parametrize("t", range(0, 13))
     def test_grid_equals_the_per_cell_functions(self, t):
-        # the grid shares tilde_b values between rows and checks the range once;
-        # the public per-cell functions are its oracle
+        # the grid reads each row's i-free parts once, shares tilde_b values
+        # between rows and checks the range once; the public per-cell functions
+        # are its oracle.  `==` cannot tell 3 from Fraction(3), and a record
+        # prints an int and a Fraction through different paths, so every value
+        # of both grids must also be an int
         _, n = gn_pair(t)
         want = [(i, s, d1_phi_prime(i, s, t), tilde_recurrence_rhs(i, s, t))
                 for s in range(1, n + 1) for i in range(s)]
-        assert list(tilde_recurrence_grid(t)) == want
+        got = list(tilde_recurrence_grid(t))
+        assert got == want
+        assert all(type(x) is int for cell in (*got, *b1_recurrence_grid(t)) for x in cell)
+
+    @pytest.mark.parametrize("t", [20, 40])
+    def test_grid_rows_equal_the_per_cell_functions_at_large_t(self, t):
+        # the first, middle and last rows, where the ints are large
+        _, n = gn_pair(t)
+        rows = sorted({1, n // 2, n})
+        want = [(i, s, d1_phi_prime(i, s, t), tilde_recurrence_rhs(i, s, t))
+                for s in rows for i in range(s)]
+        got = [cell for cell in tilde_recurrence_grid(t) if cell[1] in rows]
+        assert got == want
+        assert all(type(x) is int for cell in got for x in cell)
 
     @pytest.mark.parametrize("i,s,g", [(2, 2, 5), (3, 2, 5), (6, 9, 5), (-1, 1, 5)])
     def test_c1_pushforward_L2_domain(self, i, s, g):
@@ -247,7 +264,7 @@ I, S, T = Poly.var("i"), Poly.var("s"), Poly.var("t")
 def _agree(numeric, symbolic, point):
     """A number from int input equals the Poly result evaluated at that point."""
     assert type(numeric) in (int, Fraction), f"{numeric!r} is not an int or Fraction"
-    assert numeric == symbolic.eval(point)
+    assert numeric == poly_eval(symbolic, point)
 
 
 @st.composite
@@ -268,7 +285,7 @@ class TestOneCodePath:
         g, n = gn_pair(t)
         assert type(g) is int and type(n) is int
         gs, ns = gn_pair(T)
-        assert (g, n) == (gs.eval({"t": t}), ns.eval({"t": t}))
+        assert (g, n) == (poly_eval(gs, {"t": t}), poly_eval(ns, {"t": t}))
         assert verify_balance(t) is True and verify_balance(T) is True
 
     @given(family_cells(s_min=2))

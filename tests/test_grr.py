@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from mgn_divisors import checks
+from mgn_divisors.certificates import canonical_class
 from mgn_divisors.family import family_space, quad_class
 from mgn_divisors.grr import c1_pushforward, porteous_equal_rank, total_boundary
 from mgn_divisors.picard import Coefficient, DivisorClass, Space, serialize
@@ -40,6 +41,23 @@ class TestPushforward:
     def test_non_int_power_or_twist_rejected(self, power, twist):
         with pytest.raises(ValueError):
             c1_pushforward(SPACE, power, twist)
+
+    @pytest.mark.parametrize("space, power, twist", [
+        (Space(2, 3), 2, -2), (Space(2, 5), 1, -1), (Space(5, 9), 1, -1), (Space(3, 1), 1, -5)])
+    def test_negative_fibre_degree_rejected(self, space, power, twist):
+        """L has degree power(2g-2) + twist n on a fibre; below 0 pi_* L = 0,
+        and the table gives c1 of pi_! L: 13 lambda - 5 psi - delta on (2, 3)."""
+        with pytest.raises(ValueError, match="negative fibre degree"):
+            c1_pushforward(space, power, twist)
+
+    def test_degree_zero_and_the_callers_bundles_answer(self):
+        assert c1_pushforward(Space(2, 2), 1, -1) == DivisorClass(Space(2, 2), lam=1, psi=-1)
+        for t in range(41):
+            space = family_space(t)
+            for power in (1, 2):
+                assert c1_pushforward(space, power, -power).space == space
+        for g, n in [(2, 3), (2, 5), (12, 0), (16, 8), (12, 10)]:
+            assert canonical_class(g, n).space == Space(g, n)
 
 
 LITERATURE_SPACES = [Space(5, 0), Space(5, 3), Space(16, 8), Space(173, 153)]

@@ -558,6 +558,36 @@ class TestPairing:
         assert intersect_test_curve(DivisorClass(SPACE_53, lam=1),
                                     Pencil(SPACE_53, 0, {1, 2, 3})) == 0
 
+    @pytest.mark.parametrize("space,i,s", [(SPACE_53, 1, 1), (SPACE_53, 1, 3), (SPACE_53, 0, 2),
+                                           (Space(5, 4), 5, 1), (Space(30, 21), 1, 0),
+                                           (Space(30, 21), 1, 13), (Space(30, 21), 1, 21)])
+    def test_prefix_range_is_its_frozenset(self, space, i, s):
+        as_range, as_set = Pencil(space, i, range(1, s + 1)), Pencil(space, i, set(range(1, s + 1)))
+        assert as_range == as_set and hash(as_range) == hash(as_set)
+        assert type(as_range.S) is frozenset
+        cls = quad_class(5) if space == Space(30, 21) else DivisorClass(
+            space, lam=2, psi={2: 3}, boundary_rest=5, boundary={(i, as_set.S): 7})
+        assert intersect_test_curve(cls, as_range) == intersect_test_curve(cls, as_set)
+
+    @pytest.mark.parametrize("i,S", [
+        (1, range(1, 5)),  # label 4 outside the marked set
+        (0, range(1, 2)),  # unstable (0, {1})
+        (5, range(1, 2)),  # stable, but the moving side is rigid
+        (1, range(0, 3)), (1, range(2, 5)), (1, range(1, 6, 2)),  # per-label check
+        (1.0, range(1, 2)),  # genus index not an int
+    ])
+    def test_prefix_range_raises_as_its_frozenset(self, i, S):
+        errors = []
+        for labels in (S, frozenset(S)):
+            with pytest.raises(ValueError) as raised:
+                Pencil(SPACE_53, i, labels)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+
+    def test_other_ranges_are_read_label_by_label(self):
+        assert Pencil(SPACE_53, 1, range(1, 4, 2)).S == frozenset({1, 3})
+        assert Pencil(SPACE_53, 1, range(3, 1, -1)).S == frozenset({2, 3})
+
     def test_uninvolved_bound_is_fine(self):
         cls = DivisorClass(SPACE_53, lam=3, boundary_sym={(2, 0): UNKNOWN})
         curve = Pencil(SPACE_53, 1, {1})
