@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every requested check passes, 1 on a verification failure
 or an unsolvable certificate, 2 on usage errors (click's default), 3 when a
-verify sweep raises an internal error: every record it yielded before is
+verify sweep raises an internal error: every run of records it yielded is
 written, the JSON document is left unterminated with no summary, and the
 traceback goes to stderr.  With --json the report is canonical JSON (sorted
 keys, rationals as strings) and is byte-stable across runs.  The only environment knob is MGNDIV_WIDTH, the wrap
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import textwrap
-from itertools import islice
 
 import click
 
@@ -98,15 +97,15 @@ def pullback(preset, as_json):
     _emit_class(_PRESETS[preset](), as_json)
 
 
-# records per write: one write per record through click's stream is slower
+# records per write, at least: a write per run through click's stream is slower
 _BATCH = 1024
 
 
-def _until_error(records, errors):
-    """The records of a sweep up to the first exception it raises, which is
+def _until_error(runs, errors):
+    """The runs of a sweep up to the first exception it raises, which is
     appended to `errors` instead of propagating."""
     try:
-        yield from records
+        yield from runs
     except Exception as e:
         errors.append(e)
 
@@ -118,28 +117,30 @@ def _until_error(records, errors):
 def verify(suite, t_max, as_json):
     """Run a verification sweep and report structured pass/fail records.
 
-    Records are written in batches as the sweep yields them and counted as
-    they pass, so memory does not grow with the record count.  Each record
-    is written by checks.json_row or checks.text_row, and the JSON document
-    is the one json.dumps would write for the whole report: "records" sorts
-    before "summary".  If the sweep raises, the records it yielded are
-    written, then its traceback on stderr, and the exit code is 3.
+    Each run the sweep yields is rendered by checks.json_run or text_run and
+    counted, and written once _BATCH records are pending, so memory does not
+    grow with the record count.  The JSON is what json.dumps would write for
+    the whole report.  If the sweep raises, every run it yielded is written,
+    then its traceback on stderr, and the exit code is 3.
     """
     sweep = checks.check_all(t_max) if suite == "all" else checks.SUITES[suite](t_max)
     errors = []
-    records = _until_error(sweep, errors)
-    total = failed = 0
+    render = checks.json_run if as_json else checks.text_run
+    total = failed = written = 0
+    texts, sep = [], "," if as_json else "\n"
     if as_json:
         click.echo('{"records":[', nl=False)
-    while batch := list(islice(records, _BATCH)):
-        if as_json:
-            text = ("," if total else "") + ",".join(map(checks.json_row, batch))
-        else:
-            text = "\n".join(map(checks.text_row, batch))
-        total += len(batch)
-        failed += sum(not r[4] for r in batch)
-        del batch  # so that it is freed before the next batch is built
-        click.echo(text, nl=not as_json)
+    for run in _until_error(sweep, errors):
+        ok = run[5]
+        total += len(ok)
+        failed += ok.count(False)
+        texts.append(render(run))
+        if total - written >= _BATCH:
+            click.echo(sep.join(texts), nl=not as_json)
+            # the "" starts a JSON batch after the first with a comma
+            texts, written = [""] if as_json else [], total
+    if total > written:
+        click.echo(sep.join(texts), nl=not as_json)
     if errors:
         import traceback  # only on this path: a cold start does not pay for it
 

@@ -3,10 +3,11 @@
 Everything in this package computes over these types; there is no floating
 point anywhere.  An exact scalar has one stored normal form, `scalar(x)`: an
 `int` when the value is integral, else a `fractions.Fraction` with a
-denominator above 1, never a float.  Divisor-class coefficients and test-curve
-pairings keep it, so integral arithmetic runs on ints, which are far cheaper
-than Fractions.  `rat` still coerces to Fraction where a quotient is taken, in
-`Poly` coefficients and in `solve_linear`: there `int / int` would be a float.
+denominator above 1, never a float.  Divisor-class coefficients, `Poly`
+coefficients and test-curve pairings keep it, so integral arithmetic runs on
+ints, which are far cheaper than Fractions.  `rat` still coerces to Fraction
+where a quotient is taken, in `Poly` division and in `solve_linear`: there
+`int / int` would be a float.
 Rationals serialize as "p/q" strings, or "p" when integral, never as floats.
 
 `Poly` arithmetic builds its results in canonical order: sums start from the
@@ -52,8 +53,8 @@ def scalar(x) -> Scalar:
 
 def rat_str(x: Scalar) -> str:
     """Canonical wire form: "p/q", or just "p" when the denominator is 1."""
-    if type(x) is int:  # not bool, which prints as "1"/"0" via rat
-        return str(x)
+    if isinstance(x, int):  # a bool prints as "1"/"0"
+        return str(int(x))
     return str(rat(x))
 
 
@@ -86,10 +87,10 @@ class Poly:
     """Multivariate polynomial with exact rational coefficients over named variables.
 
     Canonical form: variable names sorted, variables that do not occur are
-    dropped, no zero terms, every coefficient a Fraction.  Equality is
-    therefore decidable by direct comparison of the term maps.  Instances are
-    immutable.  The constructor accepts any variable order and int or Fraction
-    coefficients; the arithmetic goes through `_canonical` instead.
+    dropped, no zero terms, every coefficient in the normal form of `scalar`.
+    Equality is therefore decidable by direct comparison of the term maps.
+    Instances are immutable.  The constructor accepts any variable order and
+    int or Fraction coefficients; the arithmetic goes through `_canonical`.
     """
 
     __slots__ = ("variables", "terms")
@@ -103,7 +104,7 @@ class Poly:
             expo = tuple(expo)
             if len(expo) != len(variables):
                 raise ValueError("exponent vector length does not match variables")
-            coef = rat(coef)
+            coef = scalar(coef)
             raw[expo] = raw[expo] + coef if expo in raw else coef
         names = tuple(sorted(variables))
         if names != variables:
@@ -112,9 +113,9 @@ class Poly:
         self._set_canonical(names, raw)
 
     def _set_canonical(self, names, terms):
-        """Store `terms`, Fraction coefficients keyed by exponent tuples over the
+        """Store `terms`, scalar coefficients keyed by exponent tuples over the
         sorted `names`, without the zero terms and the variables no term uses."""
-        terms = {e: c for e, c in terms.items() if c}
+        terms = {e: scalar(c) for e, c in terms.items() if c}
         used = [k for k in range(len(names)) if any(e[k] for e in terms)]
         if len(used) < len(names):
             names = tuple(names[k] for k in used)
@@ -135,20 +136,20 @@ class Poly:
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls._canonical((name,), {(1,): Fraction(1)})
+        return cls._canonical((name,), {(1,): 1})
 
     @classmethod
     def const(cls, c: Scalar) -> "Poly":
-        return cls._canonical((), {(): rat(c)})
+        return cls._canonical((), {(): scalar(c)})
 
     @property
     def is_constant(self) -> bool:
         return not self.variables
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def _aligned(self, other: "Poly"):
         """Both term maps over one sorted variable tuple; a map already over it is not remapped."""

@@ -222,8 +222,8 @@ def verify_tilde_recurrence(i, s, t) -> bool:
 
 def tilde_recurrence_grid(t: int):
     """Both sides of the tilde_b recurrence on every test curve of the family
-    space, s-major over 1 <= s <= n, 0 <= i < s: yields
-    (i, s, d1_phi_prime(i, s, t), tilde_recurrence_rhs(i, s, t)).
+    space: yields, per row 1 <= s <= n, s and the columns d1_phi_prime(i, s, t)
+    and tilde_recurrence_rhs(i, s, t) over 0 <= i < s.
 
     (g, n) is read once, and the lemma range is checked once, on the widest
     cell (n-1, n): every other cell has a smaller i and s.  Row s computes its
@@ -241,8 +241,8 @@ def tilde_recurrence_grid(t: int):
         k3, k2, k1, k0 = (c - (t + 5) * e for c, e in phi)
         m = n - s
         w, mt = 2 * g - 2 + m, m * t
-        for i, b, b1 in zip(range(s), b_s, b_next):
-            yield i, s, ((k3 * i + k2) * i + k1) * i + k0, (w - 2 * i) * b - m * b1 + mt
+        yield (s, [((k3 * i + k2) * i + k1) * i + k0 for i in range(s)],
+               [(w - 2 * i) * b - m * b1 + mt for i, b, b1 in zip(range(s), b_s, b_next)])
 
 
 def d1_theta(s, t):
@@ -259,19 +259,18 @@ def d1_theta(s, t):
 
 def b1_recurrence_rhs(s, t):
     """t(n-s) + (2g-4+n-s) b_{1:s} - (n-s) b_{1:s+1}."""
-    return _b1_rhs(s, t, *gn_pair(t))
-
-
-def _b1_rhs(s, t, g, n):
+    g, n = gn_pair(t)
     return _test_curve_rhs(1, s, t, g, n, b1(s, t), b1(s + 1, t))
 
 
 def b1_recurrence_grid(t: int):
-    """Both sides of the b_{1:s} recurrence for 1 <= s <= n: yields
-    (s, d1_theta(s, t), b1_recurrence_rhs(s, t)), reading (g, n) once."""
+    """Both sides of the b_{1:s} recurrence: the columns (s, d1_theta(s, t),
+    b1_recurrence_rhs(s, t)) over 1 <= s <= n, reading (g, n) once."""
     g, n = gn_pair(t)
-    for s in range(1, n + 1):
-        yield s, d1_theta(s, t), _b1_rhs(s, t, g, n)
+    S = range(1, n + 1)
+    b = [b1(s, t) for s in range(1, n + 2)]
+    return (S, [d1_theta(s, t) for s in S],
+            [_test_curve_rhs(1, s, t, g, n, b[s - 1], b[s]) for s in S])
 
 
 def verify_b1_recurrence(s, t) -> bool:
@@ -340,16 +339,14 @@ def b_from_pic12(t):
 
 
 def tilde_vs_known_b(t: int):
-    """Compare tilde_b with the exactly-known b over the whole (i, s) grid.
+    """Compare tilde_b with the exactly-known b, row i by row.
 
-    Yields (i, s, tilde, b, ok) with ok = (tilde <= b); tilde_b is only a
-    lower-bound carrier, so tilde > b would flag an inconsistency.
+    Yields (i, S, tilde, b), columns over the s where b_{i:s} is known; tilde_b
+    is only a lower-bound carrier, so tilde > b would flag an inconsistency.
     """
     _, n = gn_pair(t)
     for i in (0, 1):
-        for s in range(0, n + 1):
-            b = known_b(i, s, t)
-            if b is None:
-                continue
-            tv = tilde_b(i, s, t)
-            yield (i, s, tv, b, tv <= b)
+        known = [(s, b) for s in range(n + 1) if (b := known_b(i, s, t)) is not None]
+        if known:
+            S, b = zip(*known)
+            yield i, S, [tilde_b(i, s, t) for s in S], b

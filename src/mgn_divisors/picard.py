@@ -777,6 +777,13 @@ class TestCurve:
         object.__setattr__(self, "S", S)
 
 
+def _exact_value(c: Coefficient, what: str, *args) -> Scalar:  # names c as what % args
+    if c.kind != "exact":
+        raise InsufficientInformationError(
+            f"coefficient of {what % args} is {c}; pairing needs an exact value")
+    return c.value
+
+
 def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Scalar:
     """Exact pairing of a divisor class with the test curve T_{i:S}.
 
@@ -804,58 +811,46 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Scalar:
     g, n = curve.space.g, curve.space.n
     i, S = curve.i, curve.S
     s = len(S)
-
-    def exact_value(c: Coefficient, what: str) -> Scalar:
-        if not c.is_exact:
-            raise InsufficientInformationError(
-                f"coefficient of {what} is {c}; pairing needs an exact value"
-            )
-        return c.value
-
-    def orbit(size: int, has_1: bool):
-        """The orbit key of delta_{i:T} with |T| = size and 1 in T iff has_1."""
-        if 2 * i < g or (2 * i == g and has_1):
-            return (i, size)
-        return (g - i, n - size)
-
     total = 0
     at_rest = n - s
     for j, c in cls._psi.items():
         if j not in S:
-            total += exact_value(c, f"psi_{j}")
+            total += _exact_value(c, "psi_%s", j)
             at_rest -= 1
     if at_rest:
-        total += at_rest * exact_value(cls._psi_rest, "psi_j shared by the unlisted labels")
+        total += at_rest * _exact_value(cls._psi_rest, "psi_j shared by the unlisted labels")
 
-    # delta_{i:S+{j}} for j outside S, counted per orbit; label 1 matters only at
-    # i = g/2, and it is in S+{j} for every j when 1 is in S, else only for j = 1
-    with_1 = n - s if 1 in S else min(1, n - s)
-    moving = {}
-    for has_1, count in ((True, with_1), (False, n - s - with_1)):
-        if count:
-            key = orbit(s + 1, has_1)
-            moving[key] = moving.get(key, 0) + count
+    # (weight, |T|, orbit key, count) per orbit of delta_{i:T} met: T = S+{j}
+    # for the n-s labels j outside S, then T = S; keys mirror when i > g/2
     mult = -(2 * (g - i) - 2 + n - s)
-    terms = [(1, s + 1, moving), (mult, s, {orbit(s, 1 in S): 1})]
+    if 2 * i < g:
+        visits = [(1, s + 1, (i, s + 1), n - s), (mult, s, (i, s), 1)]
+    elif 2 * i > g:
+        visits = [(1, s + 1, (g - i, n - s - 1), n - s), (mult, s, (g - i, n - s), 1)]
+    else:  # label 1 picks the side: it is in S+{j} for every j if in S, else for j = 1
+        with_1 = n - s if 1 in S else min(1, n - s)
+        visits = [(1, s + 1, (i, s + 1), with_1), (1, s + 1, (i, n - s - 1), n - s - with_1),
+                  (mult, s, (i, s) if 1 in S else (i, n - s), 1)]
+        if s + 1 == n - s - 1:  # both sides are one orbit
+            visits[:2] = [(1, s + 1, (i, s + 1), n - s)]
     # on an unmarked space at i = g/2 an index is its own mirror: count it once
     mirror_is_other = n > 0 or 2 * i != g
 
-    for weight, size, counts in terms:
-        if not weight:
+    for weight, size, key, count in visits:
+        if not (weight and count):
             continue
+        value, listed = cls._orbit_layer(key)
         part = 0
-        for key, count in counts.items():
-            value, listed = cls._orbit_layer(key)
-            for idx, c in listed.items():
-                # idx is the canonical form of (i, T) when it equals it or its mirror
-                hits = ((idx.i == i and len(idx.S) == size and S <= idx.S)
-                        + (mirror_is_other and idx.i == g - i and len(idx.S) == n - size
-                           and S.isdisjoint(idx.S)))
-                if hits:
-                    part += hits * exact_value(c, repr(idx))
-                    count -= hits
-            if count:
-                part += count * exact_value(value, f"delta_{{{key[0]}:|S|={key[1]}}}")
+        for idx, c in listed.items():
+            # idx is the canonical form of (i, T) when it equals it or its mirror
+            hits = ((idx.i == i and len(idx.S) == size and S <= idx.S)
+                    + (mirror_is_other and idx.i == g - i and len(idx.S) == n - size
+                       and S.isdisjoint(idx.S)))
+            if hits:
+                part += hits * _exact_value(c, "%r", idx)
+                count -= hits
+        if count:
+            part += count * _exact_value(value, "delta_{%s:|S|=%s}", *key)
         total += weight * part
     return scalar(total)
 

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from mgn_divisors import family, picard
-from mgn_divisors.exact import rat
+from mgn_divisors.exact import rat, rat_str
 
 
 def poly_eval(p, assignment) -> Fraction:
@@ -21,6 +21,19 @@ def poly_eval(p, assignment) -> Fraction:
             v *= rat(assignment[name]) ** e
         total += v
     return total
+
+
+def run_records(runs):
+    """The records of a sweep's runs, one (op, values, lhs, rhs, ok) tuple
+    each: values in op.keys order, lhs and rhs as canonical strings."""
+    def text(x):
+        return x if type(x) is str else rat_str(x)
+
+    for ops, shared, column, lhs, rhs, ok in runs:
+        for k, (v, a, b, passed) in enumerate(zip(column, lhs, rhs, ok)):
+            op = ops[k % len(ops)]
+            values = shared[:op.vary] + (v,) + shared[op.vary:] if op.keys else ()
+            yield op, values, text(a), text(b), passed
 
 
 def orbit_members(space, i, s):

@@ -24,7 +24,7 @@ from mgn_divisors.picard import (
 from mgn_divisors.presets import RECIPES, certificate_components, certify
 from mgn_divisors.pullbacks import forgetful_pullback
 
-from conftest import write_catalog
+from conftest import run_records, write_catalog
 
 BUILTIN_NAMES = ["BN17", "BN5_3", "D12", "F12_10", "Z16"]
 
@@ -271,7 +271,7 @@ class TestSolveCertificate:
 
         for module in (certificates, checks):
             monkeypatch.setattr(module, "canonical_class", counting, raising=False)
-        records = list(checks.check_certificates())
+        records = list(run_records(checks.check_certificates()))
         assert built == [(16, 8), (17, 8), (12, 10)]
         assert len(records) == 9 and all(ok for *_, ok in records)
 
@@ -387,7 +387,7 @@ class TestRecipes:
 
     def test_every_recipe_is_checked_against_published_values(self):
         """A recipe added without a reference value in check_certificates fails here."""
-        checked = {values for op, values, *_ in checks.check_certificates()
+        checked = {values for op, values, *_ in run_records(checks.check_certificates())
                    if op.name == "certificate"}
         assert checked == set(RECIPES)
 

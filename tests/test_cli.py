@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ import mgn_divisors
 from mgn_divisors import checks, cli
 from mgn_divisors.cli import main
 from mgn_divisors.picard import CANONICAL_JSON
+
+from conftest import run_records
 
 
 @pytest.fixture()
@@ -122,16 +125,25 @@ class TestVerify:
 # strings that JSON escapes, that %-formatting reads, and non-ASCII text
 _texts = (st.text(st.sampled_from('"\\%s/\n\x00\x7fé€𝔐a'), max_size=6)
           | st.text(max_size=6))
-# keys drawn in any order, so an op's declared order is often unsorted
-_ops = st.builds(
-    lambda name, keys: checks.Op(name, *keys),
-    st.sampled_from(["balance_grid", "%s", '%"\\é']) | _texts,
-    st.lists(st.sampled_from(["t_max", "failures", "i", "s", "%s", 'é"\\']) | _texts,
-             max_size=4, unique=True))
+_names = st.sampled_from(["balance_grid", "%s", '%"\\é']) | _texts
 _values = st.integers() | st.booleans() | st.lists(st.integers(), max_size=3) | _texts
-_records = _ops.flatmap(lambda op: st.builds(
-    checks.record, st.just(op), st.tuples(*[_values] * len(op.keys)), _texts, _texts,
-    st.booleans()))
+
+
+@st.composite
+def _runs(draw):
+    """A run of 1-5 records of one or two ops whose keys are drawn in any
+    order, so an op's declared order is often unsorted."""
+    keys = draw(st.lists(st.sampled_from(["t_max", "failures", "i", "s", "%s", 'é"\\']) | _texts,
+                         max_size=4, unique=True))
+    vary = draw(st.integers(0, max(len(keys) - 1, 0)))
+    ops = tuple(checks.Op(name, *keys, vary=vary)
+                for name in draw(st.lists(_names, min_size=1, max_size=2)))
+    size = draw(st.integers(1, 5)) if keys else 1
+    column = st.lists(_values, min_size=size, max_size=size)
+    sides = st.lists(st.integers() | _texts, min_size=size, max_size=size)
+    return checks.run(ops, draw(st.tuples(*[_values] * (len(keys) - 1))) if keys else (),
+                      draw(column) if keys else [None], draw(sides), draw(sides),
+                      draw(st.lists(st.booleans(), min_size=size, max_size=size)))
 
 
 def _record_dict(r):
@@ -151,46 +163,63 @@ def _reference_text(r):
     return line
 
 
+def _reference_json(run):
+    return ",".join(CANONICAL_JSON.encode(_record_dict(r)) for r in run_records([run]))
+
+
+def _reference_lines(run):
+    return "\n".join(map(_reference_text, run_records([run])))
+
+
 class TestRecordRows:
-    """checks.json_row writes each record as CANONICAL_JSON.encode writes its
-    dict, and checks.text_row as the reference line."""
+    """checks.json_run writes a run as its records' CANONICAL_JSON.encode
+    texts joined by ",", and checks.text_run as their reference lines joined
+    by a newline."""
 
     @pytest.mark.parametrize("suite,t_max", [("all", 8), ("recurrences", 11)])
     def test_every_sweep_record(self, suite, t_max):
         sweep = checks.check_all(t_max) if suite == "all" else checks.SUITES[suite](t_max)
         for r in sweep:
-            assert checks.json_row(r) == CANONICAL_JSON.encode(_record_dict(r))
-            assert checks.text_row(r) == _reference_text(r)
+            assert checks.json_run(r) == _reference_json(r)
+            assert checks.text_run(r) == _reference_lines(r)
 
-    @given(st.lists(_records, min_size=1, max_size=6))
-    def test_synthetic_json_rows(self, records):
-        for r in records:
-            assert checks.json_row(r) == CANONICAL_JSON.encode(_record_dict(r))
+    @given(st.lists(_runs(), min_size=1, max_size=6))
+    def test_synthetic_json_rows(self, runs):
+        for r in runs:
+            assert checks.json_run(r) == _reference_json(r)
 
-    @given(st.lists(_records, min_size=1, max_size=6))
-    def test_synthetic_text_rows(self, records):
-        for r in records:
-            assert checks.text_row(r) == _reference_text(r)
+    @given(st.lists(_runs(), min_size=1, max_size=6))
+    def test_synthetic_text_rows(self, runs):
+        for r in runs:
+            assert checks.text_run(r) == _reference_lines(r)
 
     @given(st.integers(0, 1) | _texts)
     def test_pass_is_a_bool(self, ok):
         with pytest.raises(TypeError):
-            checks.record(checks.Op("injected", "t"), (0,), "1", "1", ok)
+            checks.single(checks.Op("injected", "t"), (0,), "1", "1", ok)
+        with pytest.raises(TypeError):
+            checks.run((checks.Op("injected", "i", "t"),), (0,), [0, 1], [1, 1], [1, 1], [True, ok])
+
+    @pytest.mark.parametrize("column,lhs,rhs,ok", [
+        ([], [], [], None), ([0, 1], [1], [1], None), ([0], [1], [1], [True, True])])
+    def test_run_columns_agree_in_length(self, column, lhs, rhs, ok):
+        with pytest.raises(ValueError):
+            checks.run((checks.Op("injected", "i", "t"),), (0,), column, lhs, rhs, ok)
 
 
 class TestVerifyStream:
-    """verify writes records in batches as the sweep yields them."""
+    """verify writes runs of records in batches as the sweep yields them."""
 
     @pytest.fixture()
     def grr_with_one_failure(self, monkeypatch):
-        """check_grr yields one failing record between passing ones; small
-        batches put it mid-stream."""
+        """check_grr yields one failing run of one record between passing
+        ones; small batches put it mid-stream."""
         sweep = checks.check_grr
 
         def failing(t_max):
             records = sweep(t_max)
             yield next(records)
-            yield checks.record(checks.Op("injected", "t"), (0,), 1, 2)
+            yield checks.single(checks.Op("injected", "t"), (0,), 1, 2)
             yield from records
 
         monkeypatch.setattr(checks, "check_grr", failing)
@@ -213,8 +242,8 @@ class TestVerifyStream:
 
     @pytest.fixture()
     def grr_that_raises(self, monkeypatch):
-        """check_grr yields one record, then raises; the batch is larger than
-        what the sweep yields, so the record is still in an unwritten batch."""
+        """check_grr yields one run, then raises; the batch is larger than
+        what the sweep yields, so the run is still in an unwritten batch."""
         sweep = checks.check_grr
 
         def raising(t_max):
@@ -235,6 +264,71 @@ class TestVerifyStream:
         assert result.exit_code == 3
         assert result.stdout == "PASS grr_once_twisted t=0\n"
         assert "RuntimeError: injected internal error" in result.stderr
+
+    @pytest.mark.parametrize("batch", [1, 2, 7])
+    @pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+    def test_batch_size_leaves_the_bytes(self, runner, monkeypatch, batch, flags):
+        command = ["verify", "recurrences", "--t-max", "5", *flags]
+        default = runner.invoke(main, command)
+        monkeypatch.setattr(cli, "_BATCH", batch)
+        result = runner.invoke(main, command)
+        assert default.exit_code == result.exit_code == 0
+        assert result.stdout_bytes == default.stdout_bytes
+
+    @pytest.fixture()
+    def recurrences_with_a_failing_cell(self, monkeypatch):
+        """check_recurrences yields, after its first run, a run of three
+        records whose middle one fails."""
+        sweep = checks.check_recurrences
+
+        def failing(t_max):
+            runs = sweep(t_max)
+            yield next(runs)
+            yield checks.run((checks.Op("injected", "i", "t"),), (0,), range(3), [1, 2, 3], [1, 9, 3])
+            yield from runs
+
+        monkeypatch.setattr(checks, "check_recurrences", failing)
+        monkeypatch.setattr(cli, "_BATCH", 2)
+        return 3 + 28  # the injected run and the 28 records of t_max 1
+
+    def test_failing_cell_json(self, runner, recurrences_with_a_failing_cell):
+        total = recurrences_with_a_failing_cell
+        result = runner.invoke(main, ["verify", "recurrences", "--t-max", "1", "--json"])
+        assert result.exit_code == 1
+        doc = json.loads(result.output)
+        assert doc["summary"] == {"all_pass": False, "failed": 1, "passed": total - 1,
+                                  "total": total}
+        assert [r["inputs"] for r in doc["records"] if not r["pass"]] == [{"i": 1, "t": 0}]
+        assert result.output == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_failing_cell_text(self, runner, recurrences_with_a_failing_cell):
+        total = recurrences_with_a_failing_cell
+        result = runner.invoke(main, ["verify", "recurrences", "--t-max", "1"])
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert lines[1:4] == ["PASS injected i=0 t=0", "FAIL injected i=1 t=0  lhs=2 rhs=9",
+                              "PASS injected i=2 t=0"]
+        assert sum(line.startswith("FAIL") for line in lines) == 1
+        assert len(lines) == total + 1 and lines[-1] == f"{total - 1}/{total} checks passed"
+
+    @pytest.mark.parametrize("k", [1, 12])  # run 12 is the 6 b_{1:s} records of t = 1
+    @pytest.mark.parametrize("batch", [1, 1024])
+    def test_internal_error_after_k_runs(self, runner, monkeypatch, k, batch):
+        sweep = checks.check_recurrences
+        runs = list(islice(sweep(2), k))
+
+        def raising(t_max):
+            yield from islice(sweep(t_max), k)
+            raise RuntimeError("injected internal error")
+
+        monkeypatch.setattr(checks, "check_recurrences", raising)
+        monkeypatch.setattr(cli, "_BATCH", batch)
+        as_json = runner.invoke(main, ["verify", "recurrences", "--t-max", "2", "--json"])
+        as_text = runner.invoke(main, ["verify", "recurrences", "--t-max", "2"])
+        assert as_json.exit_code == as_text.exit_code == 3
+        assert as_json.stdout == '{"records":[' + ",".join(map(checks.json_run, runs))
+        assert as_text.stdout == "\n".join(map(checks.text_run, runs)) + "\n"
+        assert "RuntimeError: injected internal error" in as_json.stderr
 
     def test_memory_does_not_grow_with_t_max(self, monkeypatch):
         """Peak traced memory of an in-process JSON sweep written to a sink
@@ -511,6 +605,11 @@ PINNED_STDOUT = {
         "c3775f38c08fff4d6ff17913a38d81a76bbe16de723a758ba386a9e22be5c29b",
     "class canonical --g 17 --n 0":
         "7f6db84820d9525c65e83284568b51c5fd470ba549bc777d6e37ffdb50450fca",
+    # whole runs of the recurrence sweep in text mode, and every suite at t_max 8
+    "verify recurrences --t-max 11":
+        "8a9c7bca95e32e74f207eab076df8877a510eaf9e93e137ee55342fb1cd45613",
+    "verify all --t-max 8 --json":
+        "79a74b12f3318502e18d5859e39801a61ede8d3b94af1487b6ada16fe1c77a02",
 }
 
 

@@ -104,7 +104,8 @@ class TestQuotientsStayExact:
         p = (3 * Poly.var("x") + 1) / 2
         assert p == Poly(("x",), {(1,): Fraction(3, 2), (0,): Fraction(1, 2)})
         assert all(type(c) is Fraction for c in p.terms.values())
-        assert all(type(c) is Fraction for c in (Poly.const(4) / 2).terms.values())
+        # an integral quotient is stored in scalar normal form, an int
+        assert all(type(c) is int for c in (Poly.const(4) / 2).terms.values())
 
     def test_poly_eval_of_int_coefficients(self):
         assert type(poly_eval(Poly.var("x") * 3, {"x": 2})) is Fraction
@@ -157,6 +158,26 @@ class TestPoly:
         with pytest.raises(AttributeError):
             Poly.var("x").terms = {}
 
+    def test_coefficients_in_scalar_normal_form(self):
+        x = Poly.var("x")
+        assert [type(c) for c in (3 * x + 1).terms.values()] == [int, int]
+        assert [type(c) for c in half(x).terms.values()] == [Fraction]
+        whole = half(x) + half(x)
+        assert whole == x and whole.terms == {(1,): 1} and type(whole.terms[(1,)]) is int
+        assert hash(whole) == hash(Poly(("x",), {(1,): Fraction(1)}))
+        assert repr(3 * x - half(x) + 2) == "Poly(5/2*x + 2)"
+
+    @pytest.mark.parametrize("c,want", [(4, 4), (Fraction(6, 3), 2), (Fraction(1, 3), Fraction(1, 3)),
+                                        (0, 0), (True, 1)])
+    def test_constant_value_is_a_scalar(self, c, want):
+        value = Poly.const(c).constant_value()
+        assert value == want and type(value) is type(want)
+
+    @pytest.mark.parametrize("c", [0.0, 1.5])
+    def test_float_constant_rejected(self, c):
+        with pytest.raises(TypeError):
+            Poly.const(c)
+
     @given(st.integers(-50, 50), st.integers(-50, 50))
     def test_symbolic_identity_matches_pointwise(self, a, b):
         x, y = Poly.var("x"), Poly.var("y")
@@ -189,7 +210,7 @@ def _assert_canonical(p):
     """p is what the full constructor makes of its own variables and terms."""
     rebuilt = Poly(p.variables, p.terms)
     assert (p.variables, p.terms) == (rebuilt.variables, rebuilt.terms)
-    assert all(type(c) is Fraction for c in p.terms.values())
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in p.terms.values())
 
 
 class TestPolyCanonicalForm:

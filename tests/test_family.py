@@ -89,7 +89,12 @@ class TestCoefficientFormulas:
 
     def test_tilde_never_exceeds_known(self):
         for t in range(0, 7):
-            assert all(ok for *_, ok in tilde_vs_known_b(t))
+            _, n = gn_pair(t)
+            rows = list(tilde_vs_known_b(t))
+            # b0 is known from s = 2, b1 from s = 0; an empty row is left out
+            assert [(i, list(S)) for i, S, *_ in rows] == [
+                (i, list(S)) for i, S in ((0, range(2, n + 1)), (1, range(n + 1))) if S]
+            assert all(x <= y for _, _, tilde, b in rows for x, y in zip(tilde, b, strict=True))
 
     def test_known_b_bounds_only_for_deep_genus(self):
         assert known_b(2, 3, 1) is None
@@ -186,9 +191,12 @@ class TestRecurrences:
         _, n = gn_pair(t)
         want = [(i, s, d1_phi_prime(i, s, t), tilde_recurrence_rhs(i, s, t))
                 for s in range(1, n + 1) for i in range(s)]
-        got = list(tilde_recurrence_grid(t))
+        got = [(i, s, a, b) for s, lhs, rhs in tilde_recurrence_grid(t)
+               for i, a, b in zip(range(s), lhs, rhs, strict=True)]
         assert got == want
-        assert all(type(x) is int for cell in (*got, *b1_recurrence_grid(t)) for x in cell)
+        b1_cells = list(zip(*b1_recurrence_grid(t), strict=True))
+        assert b1_cells == [(s, d1_theta(s, t), b1_recurrence_rhs(s, t)) for s in range(1, n + 1)]
+        assert all(type(x) is int for cell in (*got, *b1_cells) for x in cell)
 
     @pytest.mark.parametrize("t", [20, 40])
     def test_grid_rows_equal_the_per_cell_functions_at_large_t(self, t):
@@ -197,7 +205,8 @@ class TestRecurrences:
         rows = sorted({1, n // 2, n})
         want = [(i, s, d1_phi_prime(i, s, t), tilde_recurrence_rhs(i, s, t))
                 for s in rows for i in range(s)]
-        got = [cell for cell in tilde_recurrence_grid(t) if cell[1] in rows]
+        got = [(i, s, a, b) for s, lhs, rhs in tilde_recurrence_grid(t) if s in rows
+               for i, a, b in zip(range(s), lhs, rhs, strict=True)]
         assert got == want
         assert all(type(x) is int for cell in got for x in cell)
 
@@ -226,20 +235,23 @@ class TestRecurrences:
 
     def test_recurrence_sweep_builds_each_class_once(self, quad_class_builds):
         built = quad_class_builds(checks)
-        records = list(checks.check_recurrences(3))  # a sweep is a generator: read it once
+        runs = list(checks.check_recurrences(3))  # a sweep is a generator: read it once
         assert built == [0, 1, 2, 3]
-        assert len(records) == 5 + sum(n * (n + 1) // 2 + 4 * n for n in (1, 3, 6, 10))
-        assert all(ok for *_, ok in records)
+        assert sum(len(ok) for *_, ok in runs) == 5 + sum(n * (n + 1) // 2 + 4 * n
+                                                         for n in (1, 3, 6, 10))
+        assert all(all(ok) for *_, ok in runs)
 
     def test_recurrence_sweep_pairs_without_canonicalizing(self, canonical_index_calls):
         # the pairing reads the boundary per orbit: the member-by-member sum made
         # n - s + 1 canonical_index calls per pairing (840 here)
         calls = canonical_index_calls()
-        records = list(checks.check_recurrences(6))  # a sweep is a generator: read it once
-        pairings = sum(op.name == "b1_recurrence_pairing" for op, *_ in records)
+        runs = list(checks.check_recurrences(6))  # a sweep is a generator: read it once
+        # a run's records cycle through its ops
+        pairings = sum(len(ok[k::len(ops)]) for ops, *_, ok in runs
+                       for k, op in enumerate(ops) if op.name == "b1_recurrence_pairing")
         assert pairings == sum(gn_pair(t)[1] for t in range(7)) == 84
         assert len(calls) <= pairings
-        assert all(ok for *_, ok in records)
+        assert all(all(ok) for *_, ok in runs)
 
     def test_b1_recurrence_domain(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,8 @@ from mgn_divisors.family import family_space, quad_class
 from mgn_divisors.grr import c1_pushforward, porteous_equal_rank, total_boundary
 from mgn_divisors.picard import Coefficient, DivisorClass, Space, serialize
 
+from conftest import run_records
+
 
 SPACE = Space(5, 3)
 
@@ -124,7 +126,7 @@ def test_grr_sweep_enumerates_no_orbits(boundary_orbit_yields):
     keys): quad_class stores rows 0 and 1 as formulas in s, so the whole
     sweep enumerates no boundary orbit at all."""
     yielded = boundary_orbit_yields()
-    records = list(checks.check_grr(6))  # a sweep is a generator: read it once
+    records = list(run_records(checks.check_grr(6)))  # a sweep is a generator: read it once
     assert len(records) == 4 * 7
     assert all(ok for *_, ok in records)
     assert yielded == []

@@ -722,6 +722,55 @@ class TestPairingPerOrbit:
             assert intersect_test_curve(cls, curve) == member_by_member(cls, curve) == -2
 
 
+def brute_force_pairing(space, curve, psi, rest, sym, explicit):
+    """T_{i:S} . D summed over every generator, D given by the exact values it
+    was built from: psi_j for each j outside S, and each canonical member of
+    each orbit (orbit_members) times the times T meets it.  A member is
+    delta_{i:T} when it is (i, T) or its mirror (g-i, complement of T)."""
+    g, n = space.g, space.n
+    i, S = curve.i, curve.S
+    labels = frozenset(space.labels)
+    mult = -(2 * (g - i) - 2 + n - len(S))
+    total = sum(psi[j - 1].value for j in labels - S)
+    for key in boundary_orbits(space):
+        for idx in orbit_members(space, *key):
+            c = explicit.get(idx, sym.get(key, rest))
+            for T, weight in [*((S | {j}, 1) for j in labels - S), (S, mult)]:
+                if (idx.i == i and idx.S == T) or (idx.i == g - i and idx.S == labels - T):
+                    total += weight * c.value
+    return total
+
+
+# g <= 6 and n <= 5; on (2, 1) the curve T_{1:{}} meets one divisor as
+# delta_{1:{1}} and as delta_{1:{}}
+BRUTE_FORCE_SPACES = [Space(2, 1), Space(2, 3), Space(3, 2), Space(4, 0), Space(4, 3),
+                      Space(5, 5), Space(6, 2)]
+
+
+class TestPairingBruteForce:
+    """intersect_test_curve equals the sum over every member of every orbit
+    on classes built from per-label psi, a rest, orbit entries and explicit
+    members, all exact; a listed member's value is never its orbit's, so a
+    member counted wrongly shows."""
+
+    @pytest.mark.parametrize("space", BRUTE_FORCE_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_sum_over_every_member(self, space, data):
+        small, listed = (st.integers(lo, hi).map(Coefficient.exact) for lo, hi in ((-4, 4), (5, 9)))
+        orbits = list(boundary_orbits(space))
+        members = [idx for key in orbits for idx in orbit_members(space, *key)]
+        psi = data.draw(st.lists(small, min_size=space.n, max_size=space.n))
+        rest = data.draw(small)
+        sym = data.draw(st.dictionaries(st.sampled_from(orbits), small))
+        explicit = {m: data.draw(listed) for m in members if data.draw(st.booleans())}
+        cls = DivisorClass(space, psi=psi, boundary_rest=rest, boundary_sym=sym,
+                           boundary=explicit)
+        for curve in every_test_curve(space):
+            assert (intersect_test_curve(cls, curve)
+                    == brute_force_pairing(space, curve, psi, rest, sym, explicit)), curve
+
+
 @st.composite
 def row_formulas(draw):
     """A kind and a formula in s with small int coefficients over 1, 2 or 3."""
