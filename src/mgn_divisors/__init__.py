@@ -8,7 +8,7 @@ general-type certificates in `certificates`, and the verification sweeps in
 integral, else a Fraction (`exact.scalar`).
 """
 
-from .exact import LinearSystem, Poly, parse_rat, rat, rat_str, solve_linear
+from .exact import Poly, parse_rat, rat, rat_str, solve_linear
 from .family import (
     b0,
     b1,
@@ -36,9 +36,7 @@ from .picard import (
     canonical_index,
     class_from_dict,
     class_to_dict,
-    deserialize,
     intersect_test_curve,
-    serialize,
 )
 from .grr import c1_pushforward, porteous_equal_rank
 from .pullbacks import ClutchingMap, TailAttachment, clutch_pullback, forgetful_pullback
@@ -60,7 +58,6 @@ __all__ = [
     "Coefficient",
     "DivisorClass",
     "InsufficientInformationError",
-    "LinearSystem",
     "MalformedClassError",
     "PicardError",
     "Poly",
@@ -82,7 +79,6 @@ __all__ = [
     "class_from_dict",
     "class_to_dict",
     "clutch_pullback",
-    "deserialize",
     "forgetful_pullback",
     "gn_pair",
     "intersect_test_curve",
@@ -92,7 +88,6 @@ __all__ = [
     "quad_class",
     "rat",
     "rat_str",
-    "serialize",
     "solve_certificate",
     "solve_linear",
     "tilde_b",

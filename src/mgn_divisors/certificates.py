@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .exact import LinearSystem, rat_str, solve_linear
+from .exact import rat_str, solve_linear
 from .grr import c1_pushforward, total_boundary
 from .picard import (
     Coefficient,
@@ -248,15 +248,15 @@ def _solve_interior(canonical: DivisorClass, components) -> tuple:
             raise CertificateError(f"component {name} is not psi-symmetric")
 
     # rows: lambda, psi (one equation by symmetry, read from the psi rest), delta_irr
-    # columns: a, then one per component; LinearSystem coerces every entry to
-    # Fraction, so the solver's quotients stay exact
+    # columns: a, then one per component; solve_linear coerces every entry to
+    # Fraction, so its quotients stay exact
     matrix = [
         [0] + [cls.lam.value for _, cls in components],
         [1] + [cls.psi_rest.value for _, cls in components],
         [0] + [cls.delta_irr.value for _, cls in components],
     ]
     rhs = [canonical.lam.value, canonical.psi_rest.value, canonical.delta_irr.value]
-    sol = solve_linear(LinearSystem(matrix, rhs))
+    sol = solve_linear(matrix, rhs)
     if sol.status == "infeasible":
         raise InfeasibleCertificateError("no exact interior decomposition exists")
     if sol.status == "underdetermined":
@@ -275,10 +275,11 @@ def solve_certificate(space: Space, components) -> Certificate:
 
     `components` is a sequence of (name, DivisorClass).  Requires each
     component's lambda, psi, delta_irr coefficients Exact and its psi
-    coefficients label-symmetric (asserted, not averaged).  E is forced to
-    vanish on lambda, psi, delta_irr; its boundary entries are classified per
-    generator orbit in the residual report.  K is canonical_class(space); the
-    certificate keeps it and the components, for perturbation_sound.
+    coefficients label-symmetric (checked, not averaged).  E must vanish on
+    lambda, psi and delta_irr (CertificateError otherwise); its boundary
+    entries are classified per generator orbit in the residual report.  K is
+    canonical_class(space); the certificate keeps it and the components, for
+    perturbation_sound.
     """
     components = tuple(components)
     kraw = canonical_class(space.g, space.n)
@@ -287,8 +288,9 @@ def solve_certificate(space: Space, components) -> Certificate:
     residual = kraw.add(DivisorClass(space, psi=-a))
     for (_, cls), c in zip(components, cs):
         residual = residual.add(cls.scale(-c))
-    assert residual.lam.is_zero and residual.delta_irr.is_zero
-    assert residual.psi_symmetric and residual.psi_rest.is_zero
+    if not (residual.lam.is_zero and residual.delta_irr.is_zero
+            and residual.psi_symmetric and residual.psi_rest.is_zero):
+        raise CertificateError("the residual's interior does not vanish")
 
     report = []
     for key in boundary_orbits(space):

@@ -233,9 +233,10 @@ def check_pic12(t_max: int = 8):
     b10, b11 = b_from_pic12(Poly.var("t"))
     yield single(Op("pic12_symbolic_b10"), (), b10, Poly.var("t") + 4)
     yield single(Op("pic12_symbolic_b11"), (), b11, Poly.const(4))
+    numeric = Op("pic12_numeric", "t")
     for t0 in range(t_max + 1):
         v10, v11 = b_from_pic12(t0)
-        yield single(Op("pic12_numeric", "t"), (t0,),
+        yield single(numeric, (t0,),
                      [rat_str(v10), rat_str(v11)],
                      [rat_str(t0 + 4), "4"])
 
@@ -246,18 +247,18 @@ def check_certificates():
         (17, 8): ("1/20", [("D_17_8", "1/20"), ("BN17", "3/5")]),
         (12, 10): ("59/4415", [("D12", "13/13245"), ("F12_10", "484/4415")]),
     }
+    solved, interior, sound = (Op(name, "g", "n") for name in (
+        "certificate", "certificate_residual_interior_zero", "certificate_perturbation_sound"))
     for (g, n), (a_want, comps_want) in expected.items():
         # K is built once, by certify; the probe reuses the certificate's K and inputs
         cert = certify(g, n)
         got = (rat_str(cert.a), [(nm, rat_str(c)) for nm, c in cert.components])
-        yield single(Op("certificate", "g", "n"), (g, n), str(got), str((a_want, comps_want)))
+        yield single(solved, (g, n), str(got), str((a_want, comps_want)))
         res = cert.residual
         interior_zero = (res.lam.is_zero and res.delta_irr.is_zero
                          and res.psi_symmetric and res.psi_rest.is_zero)
-        yield single(Op("certificate_residual_interior_zero", "g", "n"), (g, n),
-                     interior_zero, True)
-        yield single(Op("certificate_perturbation_sound", "g", "n"), (g, n),
-                     perturbation_sound(cert), True)
+        yield single(interior, (g, n), interior_zero, True)
+        yield single(sound, (g, n), perturbation_sound(cert), True)
 
 
 # Every entry looks its sweep up by name at call time, so a profiler that rebinds

@@ -7,7 +7,9 @@ denominator above 1, never a float.  Divisor-class coefficients, `Poly`
 coefficients and test-curve pairings keep it, so integral arithmetic runs on
 ints, which are far cheaper than Fractions.  `rat` still coerces to Fraction
 where a quotient is taken, in `Poly` division and in `solve_linear`: there
-`int / int` would be a float.
+`int / int` would be a float.  `solve_linear` takes a right side of exact
+numbers or `Poly`s, so one solver serves the certificates' numeric systems
+and the symbolic Pic(M_{1,2}) system of `family.b_from_pic12`.
 Rationals serialize as "p/q" strings, or "p" when integral, never as floats.
 
 `Poly` arithmetic builds its results in canonical order: sums start from the
@@ -263,24 +265,6 @@ class Poly:
 
 
 @dataclass(frozen=True)
-class LinearSystem:
-    """A rectangular exact linear system matrix * x = rhs."""
-
-    matrix: tuple
-    rhs: tuple
-
-    def __init__(self, matrix, rhs):
-        matrix = tuple(tuple(rat(x) for x in row) for row in matrix)
-        rhs = tuple(rat(x) for x in rhs)
-        if len(matrix) != len(rhs):
-            raise ValueError("matrix and rhs have different row counts")
-        if matrix and any(len(r) != len(matrix[0]) for r in matrix):
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rhs", rhs)
-
-
-@dataclass(frozen=True)
 class LinearSolution:
     status: str  # "unique" | "underdetermined" | "infeasible"
     vector: tuple | None = None
@@ -294,14 +278,24 @@ UNDERDETERMINED = LinearSolution("underdetermined")
 INFEASIBLE = LinearSolution("infeasible")
 
 
-def solve_linear(system: LinearSystem) -> LinearSolution:
-    """Exact Gaussian elimination, pivot on first nonzero entry (deterministic).
+def solve_linear(matrix, rhs) -> LinearSolution:
+    """Solve matrix * x = rhs by exact Gaussian elimination, pivoting on the
+    first nonzero entry (deterministic).
 
-    Returns the unique solution when rank equals the unknown count, otherwise
-    the Underdetermined / Infeasible variants.  Never approximate.
+    Matrix entries are coerced by `rat`.  A right-side entry is an exact
+    number or a `Poly`: elimination only divides by matrix entries, so a
+    symbolic right side takes the same steps and yields a `Poly` solution.
+    There "infeasible" means a non-zero residual polynomial, one that does
+    not vanish identically.  Returns the unique solution when the rank equals
+    the unknown count, otherwise the Underdetermined / Infeasible variants.
+    A row-count mismatch or a ragged matrix raises ValueError.
     """
-    m = [list(row) for row in system.matrix]
-    t = list(system.rhs)
+    m = [[rat(x) for x in row] for row in matrix]
+    t = [x if isinstance(x, Poly) else rat(x) for x in rhs]
+    if len(m) != len(t):
+        raise ValueError("matrix and rhs have different row counts")
+    if m and any(len(row) != len(m[0]) for row in m):
+        raise ValueError("ragged matrix")
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     piv_rows: list[int] = []
@@ -336,16 +330,3 @@ def solve_linear(system: LinearSystem) -> LinearSolution:
             s -= m[row][j] * x[j]
         x[col] = s / m[row][col]
     return LinearSolution("unique", tuple(x))
-
-
-def invert_matrix(matrix) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix; raises on singular input."""
-    n = len(matrix)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        sol = solve_linear(LinearSystem(matrix, e))
-        if not sol.is_unique:
-            raise ValueError("matrix is singular")
-        cols.append(sol.vector)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]

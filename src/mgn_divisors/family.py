@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .exact import Poly, Scalar, half, invert_matrix
+from .exact import Poly, Scalar, half, solve_linear
 from .picard import (
     Coefficient,
     DivisorClass,
@@ -320,8 +320,8 @@ def b_from_pic12(t):
     The pullback relation (8-t) lambda - delta_irr + t psi_p + b11 psi_q'
     - b10 delta_0 = 0 reduces, via 12 lambda = delta_irr and
     psi = lambda + delta_0, to a 2x2 system with constant matrix; the unique
-    solution is (t+4, 4).  The matrix does not depend on t, so its exact
-    inverse is applied to the right side whether t is a number or a Poly.
+    solution is (t+4, 4).  The matrix does not depend on t, so one exact
+    solve serves a number t and a Poly t alike.
     """
     const_lam, const_del = pic12_reduce({"lambda": 8 - t, "psi_p": t, "delta_irr": -1})
     col_b10 = pic12_reduce({"delta_0": -1})
@@ -330,8 +330,7 @@ def b_from_pic12(t):
         [col_b10[0], col_b11[0]],
         [col_b10[1], col_b11[1]],
     ]
-    rhs = [-const_lam, -const_del]
-    return tuple(row[0] * rhs[0] + row[1] * rhs[1] for row in invert_matrix(matrix))
+    return solve_linear(matrix, [-const_lam, -const_del]).vector
 
 
 # ---------------------------------------------------------------------------

@@ -880,11 +880,6 @@ def class_to_dict(cls: DivisorClass) -> dict:
 CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def serialize(cls: DivisorClass) -> str:
-    """Canonical JSON text: sorted keys, rationals as strings, byte-stable."""
-    return CANONICAL_JSON.encode(class_to_dict(cls))
-
-
 def _wire_int(x) -> int:
     """A JSON integer; a float, a string or a boolean is malformed, not rounded."""
     if type(x) is not int:
@@ -932,10 +927,3 @@ def class_from_dict(doc: dict) -> DivisorClass:
         raise MalformedClassError(f"malformed class document: {e}") from e
     return DivisorClass(space, lam=lam, psi=psi, delta_irr=delta_irr,
                         boundary=boundary, boundary_sym=sym)
-
-
-def deserialize(text) -> DivisorClass:
-    doc = json.loads(text) if isinstance(text, str) else text
-    if not isinstance(doc, dict):
-        raise MalformedClassError("class document must be a JSON object")
-    return class_from_dict(doc)

@@ -7,6 +7,7 @@ import pytest
 
 from mgn_divisors import family, picard
 from mgn_divisors.exact import rat, rat_str
+from mgn_divisors.picard import CANONICAL_JSON, class_from_dict, class_to_dict
 
 
 def poly_eval(p, assignment) -> Fraction:
@@ -21,6 +22,16 @@ def poly_eval(p, assignment) -> Fraction:
             v *= rat(assignment[name]) ** e
         total += v
     return total
+
+
+def serialize(cls) -> str:
+    """A class's canonical JSON text: sorted keys, rationals as strings."""
+    return CANONICAL_JSON.encode(class_to_dict(cls))
+
+
+def deserialize(text):
+    """The class that the JSON text `text` describes."""
+    return class_from_dict(json.loads(text))
 
 
 def run_records(runs):

@@ -28,13 +28,11 @@ from mgn_divisors.picard import (
     TestCurve as Pencil,
     UnstableIndexError,
     canonical_index,
-    deserialize,
     intersect_test_curve,
-    serialize,
 )
 from mgn_divisors.presets import averaged_class, bn5_pullback, certify, quad3_pullback
 
-from conftest import all_canonical_indices
+from conftest import all_canonical_indices, deserialize, serialize
 
 
 def report(num, label, ok):

@@ -20,11 +20,11 @@ from mgn_divisors.family import pic12_reduce
 from mgn_divisors.picard import (
     Coefficient, DivisorClass, MalformedClassError, Space,
     TestCurve as Pencil, UNKNOWN, boundary_orbits,
-    class_to_dict, intersect_test_curve, serialize)
+    class_to_dict, intersect_test_curve)
 from mgn_divisors.presets import RECIPES, certificate_components, certify
 from mgn_divisors.pullbacks import forgetful_pullback
 
-from conftest import run_records, write_catalog
+from conftest import run_records, serialize, write_catalog
 
 BUILTIN_NAMES = ["BN17", "BN5_3", "D12", "F12_10", "Z16"]
 
@@ -287,6 +287,18 @@ class TestSolveCertificate:
         own = (cert.a, tuple(c for _, c in cert.components))
         monkeypatch.setattr(certificates, "_solve_interior", lambda canonical, components: own)
         assert not perturbation_sound(cert)
+
+    def test_a_residual_interior_that_does_not_vanish_is_refused(self, monkeypatch):
+        """The check survives `python -O`: a CertificateError, not an assert."""
+        solve = certificates._solve_interior
+
+        def wrong_a(canonical, components):
+            a, cs = solve(canonical, components)
+            return a + 1, cs
+
+        monkeypatch.setattr(certificates, "_solve_interior", wrong_a)
+        with pytest.raises(CertificateError, match="interior does not vanish"):
+            certify(16, 8)
 
     def test_residual_report_covers_all_orbits(self):
         cert = certify(17, 8)

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 import mgn_divisors
-from mgn_divisors import checks, cli
+from mgn_divisors import certificates, checks, cli
 from mgn_divisors.cli import main
 from mgn_divisors.picard import CANONICAL_JSON
 
@@ -371,6 +371,14 @@ class TestCertify:
     def test_unsupported_space_is_usage_error(self, runner):
         result = runner.invoke(main, ["certify", "--g", "9", "--n", "2"])
         assert result.exit_code == 2
+
+    def test_certificate_error_is_a_failure(self, runner, monkeypatch):
+        solve = certificates._solve_interior
+        monkeypatch.setattr(certificates, "_solve_interior",
+                            lambda canonical, components: (0, solve(canonical, components)[1]))
+        result = runner.invoke(main, ["certify", "--g", "16", "--n", "8"])
+        assert result.exit_code == 1
+        assert "FAIL the residual's interior does not vanish" in result.stderr
 
     def test_index_rows_are_printed(self, runner, tmp_path):
         """An exact catalog boundary with one explicit entry leaves a residual

@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mgn_divisors.exact import (
-    LinearSystem,
     Poly,
     half,
-    invert_matrix,
     parse_rat,
     rat,
     rat_str,
@@ -16,6 +14,11 @@ from mgn_divisors.exact import (
 )
 
 from conftest import poly_eval
+
+
+def unit(n, j):
+    """The j-th unit vector of length n."""
+    return [int(i == j) for i in range(n)]
 
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -87,18 +90,20 @@ class TestQuotientsStayExact:
     """rat() coerces to Fraction wherever a quotient is taken: int / int is a float."""
 
     def test_solve_linear_on_an_int_system(self):
-        sol = solve_linear(LinearSystem([[2, 1], [1, 3]], [3, 5]))
+        sol = solve_linear([[2, 1], [1, 3]], [3, 5])
         assert sol.vector == (Fraction(4, 5), Fraction(7, 5))
         assert all(type(x) is Fraction for x in sol.vector)
 
     def test_solve_linear_with_an_integral_solution(self):
-        sol = solve_linear(LinearSystem([[2, 0], [0, 4]], [6, 8]))
+        sol = solve_linear([[2, 0], [0, 4]], [6, 8])
         assert sol.vector == (3, 2)
         assert all(type(x) is Fraction for x in sol.vector)
 
     def test_invert_matrix(self):
-        inv = invert_matrix([[2, 1], [1, 3]])
-        assert all(type(x) is Fraction for row in inv for x in row)
+        # column j of the inverse is the solution on the j-th unit right side
+        columns = [solve_linear([[2, 1], [1, 3]], unit(2, j)).vector for j in range(2)]
+        assert columns == [(Fraction(3, 5), Fraction(-1, 5)), (Fraction(-1, 5), Fraction(2, 5))]
+        assert all(type(x) is Fraction for col in columns for x in col)
 
     def test_poly_division_by_an_int(self):
         p = (3 * Poly.var("x") + 1) / 2
@@ -244,31 +249,43 @@ square_systems = st.integers(1, 4).flatmap(
 
 class TestLinearSolve:
     def test_unique(self):
-        sol = solve_linear(LinearSystem([[2, 1], [1, -1]], [5, 1]))
+        sol = solve_linear([[2, 1], [1, -1]], [5, 1])
         assert sol.is_unique
         assert sol.vector == (2, 1)
 
     def test_infeasible(self):
-        sol = solve_linear(LinearSystem([[1, 1], [2, 2]], [1, 3]))
+        sol = solve_linear([[1, 1], [2, 2]], [1, 3])
         assert sol.status == "infeasible"
 
     def test_underdetermined(self):
-        sol = solve_linear(LinearSystem([[1, 1], [2, 2]], [1, 2]))
+        sol = solve_linear([[1, 1], [2, 2]], [1, 2])
         assert sol.status == "underdetermined"
 
     def test_rectangular_overdetermined_consistent(self):
-        sol = solve_linear(LinearSystem([[1, 0], [0, 1], [1, 1]], [2, 3, 5]))
+        sol = solve_linear([[1, 0], [0, 1], [1, 1]], [2, 3, 5])
         assert sol.vector == (2, 3)
 
     def test_ragged_rejected(self):
-        with pytest.raises(ValueError):
-            LinearSystem([[1, 2], [3]], [0, 0])
+        with pytest.raises(ValueError, match="ragged"):
+            solve_linear([[1, 2], [3]], [0, 0])
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="row counts"):
+            solve_linear([[1, 2], [3, 4]], [1])
+
+    @pytest.mark.parametrize("matrix,rhs", [
+        ([[1.0, 0], [0, 1]], [1, 2]),
+        ([[1, 0], [0, 1]], [1, 0.5]),
+    ])
+    def test_float_rejected(self, matrix, rhs):
+        with pytest.raises(TypeError):
+            solve_linear(matrix, rhs)
 
     @given(square_systems)
     def test_solution_satisfies_system(self, mx):
         matrix, x = mx
         rhs = [sum(row[j] * x[j] for j in range(len(x))) for row in matrix]
-        sol = solve_linear(LinearSystem(matrix, rhs))
+        sol = solve_linear(matrix, rhs)
         if sol.is_unique:
             assert list(sol.vector) == x
         else:
@@ -276,10 +293,44 @@ class TestLinearSolve:
             assert sol.status == "underdetermined"
 
     def test_invert(self):
-        m = [[2, 1], [1, 1]]
-        inv = invert_matrix(m)
-        assert inv == [[1, -1], [-1, 2]]
+        columns = [solve_linear([[2, 1], [1, 1]], unit(2, j)).vector for j in range(2)]
+        assert columns == [(1, -1), (-1, 2)]
+        assert all(type(x) is Fraction for col in columns for x in col)
 
     def test_invert_singular(self):
-        with pytest.raises(ValueError, match="singular"):
-            invert_matrix([[1, 2], [2, 4]])
+        # a singular matrix has no inverse column: no unit right side solves uniquely
+        m = [[1, 2], [2, 4]]
+        assert [solve_linear(m, unit(2, j)).status for j in range(2)] == ["infeasible"] * 2
+
+
+def affine_systems():
+    """An invertible integer matrix up to 3x3 and, per row, the integer pair
+    (a, b) of the right side a + b t."""
+    ints = st.integers(-5, 5)
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.tuples(ints, ints), min_size=n, max_size=n),
+    )).filter(lambda mx: solve_linear(mx[0], [0] * len(mx[0])).is_unique)
+
+
+class TestPolyRightSide:
+    """A Poly right side takes the elimination steps of a numeric one."""
+
+    @given(affine_systems())
+    def test_symbolic_solution_evaluates_to_the_numeric_one(self, mx):
+        matrix, pairs = mx
+        t = Poly.var("t")
+        symbolic = solve_linear(matrix, [a + b * t for a, b in pairs])
+        assert symbolic.is_unique
+        assert all(isinstance(x, Poly) for x in symbolic.vector)
+        for t0 in range(6):
+            numeric = solve_linear(matrix, [a + b * t0 for a, b in pairs])
+            assert tuple(poly_eval(x, {"t": t0}) for x in symbolic.vector) == numeric.vector
+
+    @pytest.mark.parametrize("rhs,status", [
+        (lambda t: [t, 2 * t + 1], "infeasible"),  # the residual is the constant 1
+        (lambda t: [t, 3 * t], "infeasible"),  # the residual is t, zero only at t = 0
+        (lambda t: [t, 2 * t], "underdetermined"),  # the residual is the zero polynomial
+    ])
+    def test_status_reads_the_residual_polynomial(self, rhs, status):
+        assert solve_linear([[1, 1], [2, 2]], rhs(Poly.var("t"))).status == status

@@ -7,9 +7,9 @@ from mgn_divisors import checks
 from mgn_divisors.certificates import canonical_class
 from mgn_divisors.family import family_space, quad_class
 from mgn_divisors.grr import c1_pushforward, porteous_equal_rank, total_boundary
-from mgn_divisors.picard import Coefficient, DivisorClass, Space, serialize
+from mgn_divisors.picard import Coefficient, DivisorClass, Space
 
-from conftest import run_records
+from conftest import run_records, serialize
 
 
 SPACE = Space(5, 3)

@@ -25,16 +25,14 @@ from mgn_divisors.picard import (
     canonical_index,
     class_from_dict,
     class_to_dict,
-    deserialize,
     intersect_test_curve,
     coeff,
     is_orbit,
     orbit_size,
     row_count,
-    serialize,
 )
 
-from conftest import all_canonical_indices, orbit_members
+from conftest import all_canonical_indices, deserialize, orbit_members, serialize
 
 
 class TestCoefficient:
@@ -1197,8 +1195,9 @@ class TestSerialization:
         assert psi_vector(cls) == [Coefficient.exact(v) for v in (2, 0, 7)]
 
     def test_malformed_document(self):
-        with pytest.raises(MalformedClassError):
-            deserialize("[1, 2, 3]")
+        for doc in ([1, 2, 3], "[1, 2, 3]", 5):  # a document that is not a JSON object
+            with pytest.raises(MalformedClassError):
+                class_from_dict(doc)
         with pytest.raises(MalformedClassError):
             class_from_dict({"space": {"g": 5, "n": 3}})
 

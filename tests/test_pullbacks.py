@@ -14,12 +14,11 @@ from mgn_divisors.picard import (
     UNKNOWN,
     boundary_orbits,
     row_count,
-    serialize,
 )
 from mgn_divisors.pullbacks import ClutchingMap, TailAttachment, clutch_pullback, forgetful_pullback
 from mgn_divisors.presets import RECIPES, averaged_class, bn5_pullback, quad3_pullback
 
-from conftest import stored_boundary_entries
+from conftest import serialize, stored_boundary_entries
 
 
 def ordered_pairs(n):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgn_divisors.exact import LinearSystem, Poly, solve_linear
+from mgn_divisors.exact import Poly, solve_linear
 from mgn_divisors.family import (
     b0,
     b1,
@@ -178,7 +178,7 @@ def rref_outcome(matrix, rhs):
 
 
 def library_outcome(matrix, rhs):
-    sol = solve_linear(LinearSystem(matrix, rhs))
+    sol = solve_linear(matrix, rhs)
     return sol.status, sol.vector
 
 
