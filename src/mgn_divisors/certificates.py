@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .exact import rat_str, solve_linear
+from .exact import Scalar, rat_str, solve_linear
 from .grr import c1_pushforward, total_boundary
 from .picard import (
     Coefficient,
@@ -194,8 +194,8 @@ def catalog_load(path) -> dict:
 @dataclass(frozen=True)
 class Certificate:
     space: Space
-    a: Fraction
-    components: tuple  # ((name, Fraction), ...)
+    a: Scalar
+    components: tuple  # ((name, Scalar), ...)
     residual: DivisorClass
     residual_report: tuple  # ((kind, key, status), ...)
     canonical: DivisorClass  # the K solved against; not in to_json

@@ -246,9 +246,8 @@ class Poly:
     def __bool__(self):
         return bool(self.terms)
 
-    def __repr__(self):
-        if not self.terms:
-            return "Poly(0)"
+    def __str__(self):
+        """The terms, highest exponents first, joined by " + "; "0" when there are none."""
         parts = []
         for expo, coef in sorted(self.terms.items(), reverse=True):
             factors = [
@@ -261,17 +260,16 @@ class Poly:
                 parts.append(f"{coef}*{head}" if coef != 1 else head)
             else:
                 parts.append(str(coef))
-        return "Poly(" + " + ".join(parts) + ")"
+        return " + ".join(parts) or "0"
+
+    def __repr__(self):
+        return f"Poly({self})"
 
 
 @dataclass(frozen=True)
 class LinearSolution:
     status: str  # "unique" | "underdetermined" | "infeasible"
-    vector: tuple | None = None
-
-    @property
-    def is_unique(self) -> bool:
-        return self.status == "unique"
+    vector: tuple | None = None  # numbers in the normal form of `scalar`, or Polys
 
 
 UNDERDETERMINED = LinearSolution("underdetermined")
@@ -286,8 +284,9 @@ def solve_linear(matrix, rhs) -> LinearSolution:
     number or a `Poly`: elimination only divides by matrix entries, so a
     symbolic right side takes the same steps and yields a `Poly` solution.
     There "infeasible" means a non-zero residual polynomial, one that does
-    not vanish identically.  Returns the unique solution when the rank equals
-    the unknown count, otherwise the Underdetermined / Infeasible variants.
+    not vanish identically.  Returns the unique solution, its numbers in the
+    normal form of `scalar`, when the rank equals the unknown count, otherwise
+    the Underdetermined / Infeasible variants.
     A row-count mismatch or a ragged matrix raises ValueError.
     """
     m = [[rat(x) for x in row] for row in matrix]
@@ -329,4 +328,4 @@ def solve_linear(matrix, rhs) -> LinearSolution:
         for j in range(col + 1, n_cols):
             s -= m[row][j] * x[j]
         x[col] = s / m[row][col]
-    return LinearSolution("unique", tuple(x))
+    return LinearSolution("unique", tuple(v if isinstance(v, Poly) else scalar(v) for v in x))

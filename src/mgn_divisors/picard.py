@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd
 
-from .exact import Scalar, parse_rat, rat_str, scalar
+from .exact import Poly, Scalar, parse_rat, rat_str, scalar
 
 
 class PicardError(Exception):
@@ -115,13 +115,9 @@ class Coefficient:
         return Coefficient(_scaled_kind(self.kind, c), scalar(self.value * c))
 
     def __str__(self):
-        if self.kind == "exact":
-            return rat_str(self.value)
-        if self.kind == "at_least":
-            return f">={rat_str(self.value)}"
-        if self.kind == "at_most":
-            return f"<={rat_str(self.value)}"
-        return "?"
+        if self.kind == "unknown":
+            return "?"
+        return _PREFIX[self.kind] + rat_str(self.value)
 
     def to_json(self):
         if self.kind == "unknown":
@@ -151,6 +147,7 @@ def _sum_kind(a: str, b: str) -> str:
 
 
 _FLIPPED = {"exact": "exact", "at_least": "at_most", "at_most": "at_least"}
+_PREFIX = {"exact": "", "at_least": ">=", "at_most": "<="}  # how a known kind prints
 
 
 def _scaled_kind(kind: str, c: Scalar) -> str:
@@ -189,15 +186,15 @@ class Row:
     @staticmethod
     def formula(kind: str, num, den: int = 1) -> "Row":
         """The normal row of kind `kind` with value sum(num[k] s^k) / den."""
-        if kind == "unknown":
-            return UNKNOWN_ROW
-        if kind not in _FLIPPED:
-            raise ValueError(f"bad coefficient kind {kind!r}")
         num = list(num)
         if not all(type(x) is int for x in (*num, den)):
             raise TypeError(f"a row formula takes ints, got {num!r} / {den!r}")
         if den == 0:
             raise ZeroDivisionError("row formula with denominator 0")
+        if kind == "unknown":
+            return UNKNOWN_ROW
+        if kind not in _FLIPPED:
+            raise ValueError(f"bad coefficient kind {kind!r}")
         while num and not num[-1]:
             num.pop()
         common = gcd(den, *num) * (1 if den > 0 else -1)
@@ -240,6 +237,13 @@ class Row:
             return UNKNOWN_ROW
         p, q = (c, 1) if type(c) is int else (c.numerator, c.denominator)
         return Row.formula(_scaled_kind(self.kind, c), [x * p for x in self.num], self.den * q)
+
+    def __str__(self):
+        """The kind's prefix, as Coefficient prints it, and the formula in s as Poly prints it."""
+        if self.kind == "unknown":
+            return "?"
+        formula = Poly(("s",), {(k,): Fraction(c, self.den) for k, c in enumerate(self.num)})
+        return _PREFIX[self.kind] + str(formula)
 
 
 ZERO_ROW = Row("exact")
@@ -541,21 +545,6 @@ class DivisorClass:
         items = [item for members in self._explicit.values() for item in members.items()]
         return sorted(items, key=lambda kv: kv[0].sort_key())
 
-    def boundary_orbit_items(self):
-        """Sorted (i, s) -> coefficient pairs of every non-zero orbit."""
-        space = self.space
-        if self._rest.is_zero:
-            # only the listed rows and orbits can be non-zero
-            values = dict(self._orbits)
-            for i, row in self._rows.items():
-                for s in range(_row_start(space, i), space.n + 1):
-                    if (i, s) not in values:
-                        values[(i, s)] = row.at(s)
-            items = sorted(values.items())
-        else:
-            items = ((key, self._orbit_value(key)) for key in boundary_orbits(space))
-        return [(key, c) for key, c in items if not c.is_zero]
-
     @property
     def boundary_is_zero(self) -> bool:
         return self._boundary_equal(DivisorClass(self.space))
@@ -726,19 +715,16 @@ class DivisorClass:
         return hash((self.space, self.lam, self.delta_irr))
 
     def __repr__(self):
-        parts = []
-        if not self.lam.is_zero:
-            parts.append(f"({self.lam})*lambda")
-        for j in self.space.labels:
-            p = self._psi.get(j, self._psi_rest)
-            if not p.is_zero:
-                parts.append(f"({p})*psi_{j}")
-        if not self.delta_irr.is_zero:
-            parts.append(f"({self.delta_irr})*delta_irr")
-        for key, v in self.boundary_orbit_items():
-            parts.append(f"({v})*delta_[{key[0]}:|S|={key[1]}]")
-        for idx, v in self.boundary_items():
-            parts.append(f"({v})*{idx!r}")
+        # each stored entry once, in the order of the class document; lambda,
+        # delta_irr and a rest are left out when 0, a listed entry never
+        named = [(self.lam, "lambda"), (self.delta_irr, "delta_irr"), (self._psi_rest, "psi_*")]
+        parts = [f"({c})*{name}" for c, name in named if not c.is_zero]
+        parts += [f"({c})*psi_{j}" for j, c in self.psi_items()]
+        if not self._rest.is_zero:
+            parts.append(f"({self._rest})*delta_[*]")
+        parts += [f"({row})*delta_[{i}:|S|=s]" for i, row in sorted(self._rows.items())]
+        parts += [f"({c})*delta_[{i}:|S|={s}]" for (i, s), c in sorted(self._orbits.items())]
+        parts += [f"({c})*{idx!r}" for idx, c in self.boundary_items()]
         body = " + ".join(parts) if parts else "0"
         return f"<{body} on (g={self.space.g}, n={self.space.n})>"
 
@@ -860,19 +846,21 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Scalar:
 
 
 def class_to_dict(cls: DivisorClass) -> dict:
+    """The class document: every layer of the class as it is stored, each
+    entry once, so its size is O(stored entries), not O(orbits) or O(n)."""
     return {
         "space": {"g": cls.space.g, "n": cls.space.n},
         "lambda": cls.lam.to_json(),
-        "psi": {str(j): cls.psi_coefficient(j).to_json() for j in cls.space.labels},
         "delta_irr": cls.delta_irr.to_json(),
-        "boundary": [
-            {"i": idx.i, "S": sorted(idx.S), "c": v.to_json()}
-            for idx, v in cls.boundary_items()
-        ],
-        "boundary_sym": [
-            {"i": i, "s": s, "c": v.to_json()}
-            for (i, s), v in cls.boundary_orbit_items()
-        ],
+        "psi_rest": cls.psi_rest.to_json(),
+        "psi": {str(j): c.to_json() for j, c in cls.psi_items()},
+        "boundary_rest": cls._rest.to_json(),
+        "rows": [{"i": i, "kind": row.kind, "num": list(row.num), "den": row.den}
+                 for i, row in sorted(cls._rows.items())],
+        "boundary_sym": [{"i": i, "s": s, "c": c.to_json()}
+                         for (i, s), c in sorted(cls._orbits.items())],
+        "boundary": [{"i": idx.i, "S": sorted(idx.S), "c": v.to_json()}
+                     for idx, v in cls.boundary_items()],
     }
 
 
@@ -898,6 +886,11 @@ def _wire_label(key, space: Space) -> int:
 
 
 def class_from_dict(doc: dict) -> DivisorClass:
+    """The class a class document describes.  A missing psi_rest or
+    boundary_rest is Exact(0) and missing rows are none, so a document that
+    lists every psi label and every non-zero orbit loads as well.  Any defect,
+    an unstable index included, raises MalformedClassError."""
+    zero = EXACT_ZERO.to_json()
     try:
         space = Space(_wire_int(doc["space"]["g"]), _wire_int(doc["space"]["n"]))
         lam = Coefficient.from_json(doc["lambda"])
@@ -923,7 +916,18 @@ def class_from_dict(doc: dict) -> DivisorClass:
             if key in sym:
                 raise MalformedClassError(f"duplicate boundary_sym entry (i, s) = {key}")
             sym[key] = Coefficient.from_json(entry["c"])
-    except (KeyError, TypeError, ValueError) as e:
+        rows = {}
+        for entry in doc.get("rows", []):
+            i = _wire_int(entry["i"])
+            if i in rows:
+                raise MalformedClassError(f"duplicate boundary row {i}")
+            num = entry["num"]
+            if type(num) is not list:
+                raise MalformedClassError(f"row num must be a JSON array, got {num!r}")
+            rows[i] = Row.formula(entry["kind"], map(_wire_int, num), _wire_int(entry["den"]))
+        return DivisorClass(space, lam=lam, psi=psi, delta_irr=delta_irr, boundary=boundary,
+                            boundary_sym=sym, boundary_rows=rows,
+                            psi_rest=Coefficient.from_json(doc.get("psi_rest", zero)),
+                            boundary_rest=Coefficient.from_json(doc.get("boundary_rest", zero)))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, UnstableIndexError) as e:
         raise MalformedClassError(f"malformed class document: {e}") from e
-    return DivisorClass(space, lam=lam, psi=psi, delta_irr=delta_irr,
-                        boundary=boundary, boundary_sym=sym)

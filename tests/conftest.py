@@ -34,6 +34,51 @@ def deserialize(text):
     return class_from_dict(json.loads(text))
 
 
+def dense_document(cls) -> dict:
+    """The class document as the earlier writer produced it, kept as an
+    oracle: every psi label, every non-zero orbit (walked over
+    boundary_orbits) and the explicit members, with no rest and no rows.
+    class_from_dict must still load it to the class.  Two classes that agree
+    at every psi label and every orbit, and list the same explicit members,
+    write the same dense document."""
+    space = cls.space
+    return {
+        "space": {"g": space.g, "n": space.n},
+        "lambda": cls.lam.to_json(),
+        "psi": {str(j): cls.psi_coefficient(j).to_json() for j in space.labels},
+        "delta_irr": cls.delta_irr.to_json(),
+        "boundary": [{"i": idx.i, "S": sorted(idx.S), "c": v.to_json()}
+                     for idx, v in cls.boundary_items()],
+        "boundary_sym": [{"i": i, "s": s, "c": c.to_json()} for (i, s), c in nonzero_orbits(cls)],
+    }
+
+
+def nonzero_orbits(cls) -> list:
+    """The ((i, s), coefficient) pairs of every orbit whose coefficient is
+    not 0, in boundary_orbits order."""
+    return [(key, c) for key in picard.boundary_orbits(cls.space)
+            if not (c := cls.orbit_coefficient(*key)).is_zero]
+
+
+def stored_layers(cls) -> tuple:
+    """Everything a class stores: the interior, the psi rest and listed
+    labels, the boundary rest, rows, orbit entries and explicit members."""
+    return (cls.lam, cls.delta_irr, cls.psi_rest, cls.psi_items(),
+            cls._rest, cls._rows, cls._orbits, cls._explicit)
+
+
+def check_documents(cls):
+    """The class document of cls loads to an equal class that stores the same
+    layers and writes the same bytes, and its dense document loads to an
+    equal class too.  Returns the loaded class."""
+    text = serialize(cls)
+    again = deserialize(text)
+    assert again == cls and stored_layers(again) == stored_layers(cls)
+    assert serialize(again) == text
+    assert class_from_dict(dense_document(cls)) == cls
+    return again
+
+
 def run_records(runs):
     """The records of a sweep's runs, one (op, values, lhs, rhs, ok) tuple
     each: values in op.keys order, lhs and rhs as canonical strings."""

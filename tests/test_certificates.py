@@ -24,7 +24,7 @@ from mgn_divisors.picard import (
 from mgn_divisors.presets import RECIPES, certificate_components, certify
 from mgn_divisors.pullbacks import forgetful_pullback
 
-from conftest import run_records, serialize, write_catalog
+from conftest import dense_document, run_records, write_catalog
 
 BUILTIN_NAMES = ["BN17", "BN5_3", "D12", "F12_10", "Z16"]
 
@@ -54,7 +54,7 @@ class TestCanonicalClass:
             boundary_sym={(i, 0): -3 if i == 1 else -2 for i in range(1, g // 2 + 1)})
         k = canonical_class(g, 0)
         assert k == harris_mumford
-        assert serialize(k) == serialize(harris_mumford)
+        assert dense_document(k) == dense_document(harris_mumford)
 
     @pytest.mark.parametrize("g,n", [(2, 3), (2, 1), (3, 1), (4, 2), (5, 3), (6, 4),
                                      (12, 10), (16, 8), (17, 8)])
@@ -71,7 +71,7 @@ class TestCanonicalClass:
                           for key in boundary_orbits(space)})
         k = canonical_class(g, n)
         assert k == written_out
-        assert serialize(k) == serialize(written_out)
+        assert dense_document(k) == dense_document(written_out)
 
 
 class TestBrillNoetherClass:
@@ -83,7 +83,7 @@ class TestBrillNoetherClass:
         typed = DivisorClass(Space(5, 0), lam=8, delta_irr=-1,
                              boundary_sym={(1, 0): -4, (2, 0): -6})
         assert bn_class(5) == typed
-        assert serialize(bn_class(5)) == serialize(typed)
+        assert dense_document(bn_class(5)) == dense_document(typed)
 
     def test_coefficients(self):
         cls = bn_class(17)
@@ -242,7 +242,7 @@ class TestSolveCertificate:
         assert all(type(x) in (int, Fraction) for x in (cert.a, *(c for _, c in cert.components)))
         res = cert.residual
         coefficients = [res.lam, res.delta_irr, res.psi_rest,
-                        *(c for _, c in res.boundary_orbit_items()),
+                        *(res.orbit_coefficient(*key) for key in boundary_orbits(res.space)),
                         *(c for _, c in res.boundary_items())]
         values = [c.value for c in coefficients if c.kind != "unknown"]
         assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
@@ -273,7 +273,7 @@ class TestSolveCertificate:
             monkeypatch.setattr(module, "canonical_class", counting, raising=False)
         records = list(run_records(checks.check_certificates()))
         assert built == [(16, 8), (17, 8), (12, 10)]
-        assert len(records) == 9 and all(ok for *_, ok in records)
+        assert len(records) == 6 and all(ok for *_, ok in records)
 
     def test_certificate_keeps_its_canonical_class_and_inputs(self):
         cert = certify(17, 8)

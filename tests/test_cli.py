@@ -14,7 +14,8 @@ from hypothesis import given, strategies as st
 import mgn_divisors
 from mgn_divisors import certificates, checks, cli
 from mgn_divisors.cli import main
-from mgn_divisors.picard import CANONICAL_JSON
+from mgn_divisors.family import quad_class
+from mgn_divisors.picard import CANONICAL_JSON, class_from_dict
 
 from conftest import run_records
 
@@ -63,9 +64,27 @@ class TestClass:
         result = runner.invoke(main, ["class", "canonical", "--g", "5", "--n", "0", "--json"])
         assert result.exit_code == 0
         doc = json.loads(result.output)
-        assert doc["psi"] == {}
-        assert doc["boundary_sym"] == [{"c": {"exact": "-3"}, "i": 1, "s": 0},
-                                       {"c": {"exact": "-2"}, "i": 2, "s": 0}]
+        # K = 13 lambda - 2 delta_irr - 3 delta_1 - 2 delta_2: a rest of -2 and one orbit entry
+        assert (doc["psi_rest"], doc["psi"], doc["rows"]) == ({"exact": "0"}, {}, [])
+        assert doc["boundary_rest"] == {"exact": "-2"}
+        assert doc["boundary_sym"] == [{"c": {"exact": "-3"}, "i": 1, "s": 0}]
+
+    @pytest.mark.parametrize("t", [3, 40, 200])
+    def test_quad_json_lists_what_the_class_stores(self, runner, t):
+        result = runner.invoke(main, ["class", "quad", "--t", str(t), "--json"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert len(result.output) < 1024
+        assert (len(doc["rows"]), len(doc["boundary_sym"]), doc["psi"]) == (2, 1, {})
+        assert class_from_dict(doc) == quad_class(t)
+
+    def test_quad_0_and_bn5_pullback_load_to_equal_classes(self, runner):
+        # one class, built two ways: the documents list different layers
+        quad, bn5 = (json.loads(runner.invoke(main, args).output) for args in
+                     (["class", "quad", "--t", "0", "--json"],
+                      ["pullback", "--preset", "bn5-to-51", "--json"]))
+        assert quad != bn5
+        assert class_from_dict(quad) == class_from_dict(bn5)
 
     def test_missing_flag_is_usage_error(self, runner):
         result = runner.invoke(main, ["class", "quad"])
@@ -499,6 +518,13 @@ class TestCertifyCatalogErrors:
                                g="12", n="10")
         self._assert_usage_error(result, "catalog", "psi label")
 
+    def test_malformed_row(self, runner, tmp_path):
+        entry = _marked_entry("F12_10", 12, 10)
+        entry["class"]["rows"] = [{"i": 1, "kind": "exact", "num": [1], "den": 0}]
+        result = self._certify(runner, tmp_path, json.dumps({"entries": [entry]}),
+                               g="12", n="10")
+        self._assert_usage_error(result, "catalog", "denominator 0")
+
     def test_valid_override_still_certifies(self, runner, tmp_path):
         doc = {"entries": [{"name": "BN17", "kind": "marked", "class": {
             "space": {"g": 17, "n": 8}, "lambda": {"exact": "20"},
@@ -529,20 +555,21 @@ def test_width_env_wraps_output(runner, monkeypatch):
     assert all(len(line) <= 40 for line in narrow.splitlines())
 
 
-# sha256 of stdout: the boundary representation may change, a byte of output may not
+# sha256 of stdout.  `class` and `pullback` print the layers a class stores, so their
+# pins move with the stored form; the bytes of the other commands do not depend on it
 PINNED_STDOUT = {
     "verify grr --t-max 8 --json":
         "c0441529f334b8d1479393f5cc47c9516ea41d4923ea256df171f05b451b5a66",
     "class quad --t 0 --json":
-        "8c9c876ad8c77cc5c653a5970ad0e472e72a949572e72cbee8bcc316736a3fde",
+        "84cf034fa36bd91e05e719283e99a7ecdf2456ead2476483414c86105f090375",
     "class quad --t 3 --json":
-        "c48c7d3b27fc104c877de85d5a9488820041c1837421744f5e5c7a00448cb2f6",
+        "258943174ceb0fae3ad20a97d8a1e1aa598f820649b4c110198000697b2ce72f",
     "class canonical --g 2 --n 3 --json":
-        "eaa071045d0bbb4d1a13510b9ca3124e10960aba68b4b81ea75d3839efc3a08d",
+        "9e5c496f8e310417c3f931b029930cb67109da10e62647d2237a09017e022984",
     "class canonical --g 16 --n 8 --json":
-        "c7cabd9b521738b4577b3c591327b639b414c2411ce65576f608530a279b16d6",
+        "3e32e21747c11e8839fce3c5155d43ec4f5d4c9d1ffdbba72638909bc196a326",
     "pullback --preset quad3-to-178 --json":
-        "80e2098047363cd40742d956dfc3f9d6d134770ef3859f4a0de11dc5dbd27618",
+        "0e1a1e63946459a76af0b9ef29f3994d8e22ce33e506ad3df647821ea44855f6",
     "certify --g 17 --n 8 --json":
         "bbf0094297d9bc661d5dd5f8319b36abe237039bb4e986e2d7b851e8c5cb2c5e",
     "certify --g 12 --n 10 --json":
@@ -554,7 +581,7 @@ PINNED_STDOUT = {
     "verify recurrences --t-max 6 --json":
         "a080883fb53c39295b7e1d9fb392cec0a5c3718941bcad914fd216cca4a0eb86",
     "verify all --t-max 4 --json":
-        "d055ece128e6c6d09b70593e2df3273f6ecb3bc83f918a8517003c1ffce44017",
+        "a4b5742205f60026ebcfc5d18ce52ffb5d1cb9cd60f6227a386094ff7c32ed3c",
     "table --t-max 8 --json":
         "a90808ed1ef1264fba7a0d0e0d103a9fc949a73df01a0e45165c465e69ff96da",
     "verify recurrences --t-max 11 --json":
@@ -568,56 +595,56 @@ PINNED_STDOUT = {
     "certify --g 16 --n 8 --json":
         "947bea505ef6110e6aa80ade498633ce71204c6f9bf3ebf7a5865972288d200d",
     "pullback --preset bn5-to-51 --json":
-        "8c9c876ad8c77cc5c653a5970ad0e472e72a949572e72cbee8bcc316736a3fde",
+        "41cf6cefc65a8ebccd7f398c5b6e4d4d74452ca616988419fb1e3e33bd7430c8",
     "pullback --preset quad3-to-168 --json":
-        "4e9aa2490222a1f524eae46232a97355b66d24f4807701746c112c958d06a32b",
+        "a28d325d4e31053cb5093b9d525e222e9f7b623e37c8189a873f8c1452f2378c",
     "verify pullbacks --json":
         "d7687359e78fa8f6f69186b07663978a5548e26bb5e39ed33db664f4d0f884ae",
     "verify certificates --json":
-        "4b8b82a79ab19ee5e865bca7980f46285c25f372081ef127e1d83bf2259f9ba7",
+        "a23fd1aaa3b256b3a74d0df056e32e485c1004859c800f45515df5cf4760ade0",
     "verify recurrences --t-max 4":
         "a65907b2cf08e1913690f9a43a8c72924b84e99aec101be4bb67cc9a7b23fcdf",
     "verify all --t-max 2":
-        "57746b8fd29c4d961505461eeb5e7cd43556cbe4de9f7bbc69b2ab4780559775",
+        "886b013033c725aecb1e27a64db5b2845c64a9e8de7e09090234edda1ccfc0e9",
     # text mode prints Coefficient.__str__ and DivisorClass.__repr__
     "certify --g 16 --n 8":
         "3ad0d2803f3f4ae80e3aeb6c7c25fe07bc98ab2458a8aeb780a650f541179f1b",
     "certify --g 17 --n 8":
         "2af4ac8b81d5098c6eb6692b846e8fc6dc2ef42a53d59d5f7f524eeee911e64f",
     "class quad --t 3":
-        "0ece5dac917c96babc07b4dec7c6094aadc8eb1f0987d12b7e851ae6159158f1",
+        "13aba9a2f3219439a403993cd14b3b38fa7a90e29f373ebf4b3bbfb20be4cb39",
     "class canonical --g 16 --n 8":
-        "7fd876830070b21a631881d43f5c5d8883981f21cd675270ddd612d5c931ef4c",
+        "e4168d9c070bdfc84d9cb6490a1b595e988db4332adc7b4869ff373c3f41c73f",
     "verify grr --t-max 16":
         "c92fa1d99d997a136bb97f272c0b4482258a2eb694c47e7685f8ef8bca2f7e75",
     "pullback --preset quad3-to-168":
-        "ffd5f75dd58478219cbc0d6736ee91fa27c4f9d227e338e429660a062d3b5892",
+        "4d36e9a98ecb74cbd4ae52e425fa5ee6199f18988a3221c76a6a53a2150d7611",
     "pullback --preset quad3-to-178":
-        "5103cef717ce7522ac8edc1eb46ac54a3330da7f031eb54859faa3c4dc714f7d",
-    # rows 0 and 1 stored as formulas in s still list every orbit
+        "de070e3e8dca70ba6dd59532636ef037065b0a98c31306e542355f2d33f1a9e3",
+    # rows 0 and 1 are written as two formulas in s, whatever t is
     "class quad --t 16 --json":
-        "388fdd215acc774d024dde16dc12d28e099312424efb2ea7e28461f774411e4d",
+        "2e5a2f1a970126b2e07d33dfaef38ad62134c982c3b54aeb077b053d9aa8c85e",
     "class quad --t 40 --json":
-        "510d08c8d40f10a6ffdc83304d91ccc1301e807fb6bd7f253e38a4c6b7de5ca6",
+        "fdac4f184e9c90056f6c56c7c475e4687cc4aae58bd3079abcd741a3cd38ffb6",
     "verify grr --t-max 40 --json":
         "038c3bdb1308a61adc91a73d432db3d382e388e8bc37582e6a1860f8f15d41f7",
     # the three certificates' recipes, in text mode
     "certify --g 12 --n 10":
         "f8c829485ae97e201625031ba292d5ba905711cb8ef7674785701e7e48415bdf",
     "verify certificates":
-        "ebda3feb41bc6e3f7bb84686c514fbd69c48db2d86f297035dbad881248e49b8",
+        "0de832bb3a394ac8f8776594c0101656c41125921be663e9059f36b702e20456",
     "verify pullbacks":
         "0e8ffafa6180840d706945ad37eba3738ee065dbd1c11e1c0e4a4f484dd5aff0",
     # K on an unmarked space: the GRR pushforward with no labels
     "class canonical --g 12 --n 0 --json":
-        "c3775f38c08fff4d6ff17913a38d81a76bbe16de723a758ba386a9e22be5c29b",
+        "c5e8ea4fb1ec9bea70657c6a38aa1d5df64504647fd03ce5fc9dbe3944132d8b",
     "class canonical --g 17 --n 0":
-        "7f6db84820d9525c65e83284568b51c5fd470ba549bc777d6e37ffdb50450fca",
+        "74ba47f9865e5a2d445da67e505f1341142202c9ac6d025c7aee04328ad5c1c4",
     # whole runs of the recurrence sweep in text mode, and every suite at t_max 8
     "verify recurrences --t-max 11":
         "8a9c7bca95e32e74f207eab076df8877a510eaf9e93e137ee55342fb1cd45613",
     "verify all --t-max 8 --json":
-        "79a74b12f3318502e18d5859e39801a61ede8d3b94af1487b6ada16fe1c77a02",
+        "cde6d23f629f0bcc44101bb7828197f6c88ace07ac8c6fcdc15c369facf45fcb",
 }
 
 

@@ -269,6 +269,10 @@ class TestPic12Reduction:
     def test_numeric_matches_symbolic(self, t):
         assert b_from_pic12(t) == (Fraction(t + 4), Fraction(4))
 
+    def test_numeric_solution_is_in_scalar_normal_form(self):
+        b = b_from_pic12(5)
+        assert b == (9, 4) and all(type(x) is int for x in b)
+
 
 I, S, T = Poly.var("i"), Poly.var("s"), Poly.var("t")
 

@@ -8,8 +8,9 @@ from mgn_divisors.certificates import canonical_class
 from mgn_divisors.family import family_space, quad_class
 from mgn_divisors.grr import c1_pushforward, porteous_equal_rank, total_boundary
 from mgn_divisors.picard import Coefficient, DivisorClass, Space
+from mgn_divisors.presets import certify
 
-from conftest import run_records, serialize
+from conftest import run_records
 
 
 SPACE = Space(5, 3)
@@ -130,7 +131,8 @@ def test_grr_sweep_enumerates_no_orbits(boundary_orbit_yields):
     assert len(records) == 4 * 7
     assert all(ok for *_, ok in records)
     assert yielded == []
-    serialize(quad_class(6))  # the counter is live: listing a class walks its orbits
+    # the counter is live: a certificate's residual report walks every orbit
+    certify(17, 8)
     assert yielded
 
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgn_divisors import picard
-from mgn_divisors.certificates import canonical_class
+from mgn_divisors.certificates import _CATALOG, canonical_class
 from mgn_divisors.exact import scalar
 from mgn_divisors.family import quad_class
+from mgn_divisors.presets import averaged_class, bn5_pullback
 from mgn_divisors.picard import (
     BoundaryIndex,
     Coefficient,
@@ -32,7 +33,8 @@ from mgn_divisors.picard import (
     row_count,
 )
 
-from conftest import all_canonical_indices, deserialize, orbit_members, serialize
+from conftest import (all_canonical_indices, check_documents, dense_document, deserialize,
+                      nonzero_orbits, orbit_members, serialize, stored_layers)
 
 
 class TestCoefficient:
@@ -445,8 +447,9 @@ class TestBoundaryRest:
         spec = data.draw(rest_specs(space))
         cls, full = DivisorClass(space, **spec), expanded(space, spec)
         assert cls == full and full == cls
-        assert serialize(cls) == serialize(full)
-        assert repr(cls) == repr(full)
+        assert dense_document(cls) == dense_document(full)
+        check_documents(cls)
+        check_documents(full)
         assert cls.boundary_is_zero == full.boundary_is_zero
         for key in boundary_orbits(space):
             idx = next(orbit_members(space, *key))
@@ -463,10 +466,11 @@ class TestBoundaryRest:
         a_spec, b_spec = data.draw(rest_specs(space)), data.draw(rest_specs(space))
         a, b = DivisorClass(space, **a_spec), DivisorClass(space, **b_spec)
         a_full, b_full = expanded(space, a_spec), expanded(space, b_spec)
-        assert serialize(a.add(b)) == serialize(a_full.add(b_full)) == serialize(a.add(b_full))
+        assert (dense_document(a.add(b)) == dense_document(a_full.add(b_full))
+                == dense_document(a.add(b_full)))
         assert a.add(b) == a_full.add(b_full)
         c = data.draw(st.sampled_from([Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(3)]))
-        assert serialize(a.scale(c)) == serialize(a_full.scale(c))
+        assert dense_document(a.scale(c)) == dense_document(a_full.scale(c))
         assert a.scale(c) == a_full.scale(c)
         assert (a == b) == (a_full == b_full) == (b == a)
 
@@ -484,7 +488,7 @@ class TestBoundaryRest:
             boundary_rest=data.draw(coefficients()),
         )
         assert cls == relisted and relisted == cls
-        assert serialize(cls) == serialize(relisted)
+        assert dense_document(cls) == dense_document(relisted)
 
     @pytest.mark.parametrize("space", [Space(6, 3), Space(57, 45)], ids=str)
     def test_differing_rests_covered_by_listed_orbits(self, space):
@@ -516,7 +520,7 @@ class TestBoundaryRest:
                            boundary_rest=UNKNOWN)
         assert cls.boundary_is_zero
         assert cls == DivisorClass(space, lam=1)
-        assert serialize(cls) == serialize(DivisorClass(space, lam=1))
+        assert dense_document(cls) == dense_document(DivisorClass(space, lam=1))
         one_left = DivisorClass(space, boundary_sym={key: 0 for key in list(boundary_orbits(space))[1:]},
                                 boundary_rest=UNKNOWN)
         assert not one_left.boundary_is_zero
@@ -839,10 +843,10 @@ class TestBoundaryRows:
         full = DivisorClass(space, boundary=dense)
         assert cls == full and full == cls
         listed = DivisorClass(space, boundary_sym=orbit_values(space, drawn), boundary=drawn[3])
-        assert serialize(cls) == serialize(listed) and repr(cls) == repr(listed)
+        assert dense_document(cls) == dense_document(listed)
         assert cls.boundary_is_zero == all(c.is_zero for c in dense.values())
-        again = deserialize(serialize(cls))
-        assert again == cls and serialize(again) == serialize(cls)
+        check_documents(cls)
+        check_documents(listed)
         for curve in every_test_curve(space):
             assert (outcome(intersect_test_curve, cls, curve)
                     == outcome(member_by_member, full, curve)), curve
@@ -891,7 +895,7 @@ class TestBoundaryRows:
     def test_row_0_starts_at_two_labels(self):
         space = Space(4, 3)
         cls = DivisorClass(space, boundary_rows={0: Row.formula("exact", (1, 1))})
-        assert [(key, str(c)) for key, c in cls.boundary_orbit_items()] == [
+        assert [(key, str(c)) for key, c in nonzero_orbits(cls)] == [
             ((0, 2), "3"), ((0, 3), "4")]
         assert cls.boundary_coefficient(4, {3}) == Coefficient.exact(3)  # mirror of (0, {1, 2})
         with pytest.raises(UnstableIndexError):
@@ -906,7 +910,7 @@ class TestBoundaryRows:
         # on (4, 2) row 2 is the orbits (2, 1) and (2, 2): delta_{2:{2}} is delta_{2:{1}}
         space = Space(4, 2)
         cls = DivisorClass(space, boundary_rows={2: Row.formula("at_most", (0, 2))})
-        assert [key for key, _ in cls.boundary_orbit_items()] == [(2, 1), (2, 2)]
+        assert [key for key, _ in nonzero_orbits(cls)] == [(2, 1), (2, 2)]
         assert cls.boundary_coefficient(2, {2}) == Coefficient.at_most(2)
         assert cls.boundary_coefficient(2, set()) == Coefficient.at_most(4)
         with pytest.raises(UnstableIndexError):
@@ -1194,6 +1198,59 @@ class TestSerialization:
         cls = class_from_dict(doc)
         assert psi_vector(cls) == [Coefficient.exact(v) for v in (2, 0, 7)]
 
+    def test_layered_document(self):
+        # a row is normalized on load: (0 + 2s + 4s^2) / 4 is (s + 2s^2) / 2
+        doc = {"space": {"g": 5, "n": 3}, "lambda": {"exact": "1"}, "delta_irr": {"exact": "-1"},
+               "psi_rest": {"exact": "2"}, "psi": {"3": {"at_least": "1"}},
+               "boundary_rest": {"at_most": "-1"},
+               "rows": [{"i": 1, "kind": "exact", "num": [0, 2, 4], "den": 4}],
+               "boundary_sym": [{"i": 1, "s": 0, "c": "unknown"}],
+               "boundary": [{"i": 2, "S": [1], "c": {"exact": "7"}}]}
+        cls = class_from_dict(doc)
+        assert cls == DivisorClass(
+            SPACE_53, lam=1, delta_irr=-1, psi={3: Coefficient.at_least(1)}, psi_rest=2,
+            boundary_rest=Coefficient.at_most(-1), boundary_rows={1: Row.formula("exact", (0, 1, 2), 2)},
+            boundary_sym={(1, 0): UNKNOWN}, boundary={(2, frozenset({1})): 7})
+        assert class_to_dict(cls)["rows"] == [{"i": 1, "kind": "exact", "num": [0, 1, 2], "den": 2}]
+        assert repr(cls) == ("<(1)*lambda + (-1)*delta_irr + (2)*psi_* + (>=1)*psi_3 + (<=-1)*delta_[*]"
+                             " + (s^2 + 1/2*s)*delta_[1:|S|=s] + (?)*delta_[1:|S|=0]"
+                             " + (7)*delta_{2:{1}} on (g=5, n=3)>")
+
+    def test_missing_layers_read_as_zero(self):
+        doc = {"space": {"g": 5, "n": 3}, "lambda": {"exact": "1"}, "delta_irr": {"exact": "0"},
+               "psi": {"1": {"exact": "4"}}, "boundary_sym": [{"i": 1, "s": 2, "c": {"exact": "5"}}]}
+        assert class_from_dict(doc) == DivisorClass(SPACE_53, lam=1, psi={1: 4},
+                                                    boundary_sym={(1, 2): 5})
+
+    ROW = {"i": 1, "kind": "exact", "num": [1, 2], "den": 3}
+
+    @pytest.mark.parametrize("field,value", [
+        ("rows", [{**ROW, "den": 0}]),
+        ("rows", [{**ROW, "kind": "unknown", "den": 0}]),
+        ("rows", [{**ROW, "num": [1, 2.0]}]),
+        ("rows", [{**ROW, "num": [True]}]),
+        ("rows", [{**ROW, "num": "12"}]),
+        ("rows", [{**ROW, "den": True}]),
+        ("rows", [{**ROW, "den": "3"}]),
+        ("rows", [{**ROW, "kind": "about"}]),
+        ("rows", [{**ROW, "kind": ["exact"]}]),
+        ("rows", [ROW, {**ROW, "num": [5]}]),
+        ("rows", [{**ROW, "i": 3}]),
+        ("rows", [{**ROW, "i": -1}]),
+        ("rows", [{**ROW, "i": 1.0}]),
+        ("rows", [{"i": 1, "kind": "exact", "num": [1]}]),
+        ("rows", "1"),
+        ("psi_rest", {"exact": 2}),
+        ("psi_rest", "zero"),
+        ("boundary_rest", {"at_least": "1/0"}),
+        ("boundary_rest", None),
+    ])
+    def test_malformed_layer_rejected(self, field, value):
+        doc = class_to_dict(DivisorClass(SPACE_53))
+        doc[field] = value
+        with pytest.raises(MalformedClassError):
+            class_from_dict(doc)
+
     def test_malformed_document(self):
         for doc in ([1, 2, 3], "[1, 2, 3]", 5):  # a document that is not a JSON object
             with pytest.raises(MalformedClassError):
@@ -1251,7 +1308,7 @@ class TestSymmetrized:
         assert sym == dense_average(cls)
         assert sym.psi_symmetric and sym.boundary_items() == []
         again = sym.symmetrized()
-        assert again == sym and serialize(again) == serialize(sym)
+        assert again == sym and dense_document(again) == dense_document(sym)
 
     @pytest.mark.parametrize("space", SYMMETRIZE_SPACES, ids=str)
     @given(data=st.data())
@@ -1289,3 +1346,52 @@ class TestSymmetrized:
         yielded = boundary_orbit_yields()
         q.symmetrized()
         assert yielded == []
+
+
+class TestClassDocuments:
+    """A class document lists what the class stores: it loads to an equal
+    class with the same stored layers and writes the same bytes again, and
+    the dense document (every psi label and non-zero orbit) loads to an equal
+    class through the same reader.  The rest and row strategies are checked
+    in TestBoundaryRest and TestBoundaryRows."""
+
+    @given(simple_classes(SPACE_53))
+    @settings(max_examples=40)
+    def test_simple_classes(self, cls):
+        check_documents(cls)
+
+    @given(scalar_spec_classes(SPACE_53))
+    @settings(max_examples=40)
+    def test_scalar_spec_classes(self, cls):
+        check_documents(cls)
+
+    @pytest.mark.parametrize("space", PSI_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_psi_layers(self, space, data):
+        spec, _ = data.draw(psi_specs(space))
+        check_documents(DivisorClass(space, **spec))
+
+    @pytest.mark.parametrize("space", SYMMETRIZE_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_symmetrize_classes(self, space, data):
+        cls = data.draw(symmetrize_classes(space))
+        check_documents(cls)
+        check_documents(cls.symmetrized())
+
+    def test_built_in_and_preset_classes(self):
+        classes = [e.cls for e in _CATALOG.values()]
+        classes += [bn5_pullback(), averaged_class(16), averaged_class(17),
+                    canonical_class(16, 8), quad_class(0), quad_class(3)]
+        for cls in classes:
+            check_documents(cls)
+            assert len(serialize(cls)) <= 530
+
+    @pytest.mark.parametrize("t", [40, 200])
+    def test_large_family_classes(self, t):
+        # the dense document would list every orbit: only the layers are checked
+        cls = quad_class(t)
+        again = deserialize(serialize(cls))
+        assert again == cls and stored_layers(again) == stored_layers(cls)
+        assert serialize(again) == serialize(cls) and len(serialize(cls)) <= 530
