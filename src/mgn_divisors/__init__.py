@@ -45,10 +45,10 @@ from .certificates import (
     CertificateError,
     bn_class,
     canonical_class,
+    certify,
     perturbation_sound,
     solve_certificate,
 )
-from .presets import certify
 
 __all__ = [
     "BoundaryIndex",

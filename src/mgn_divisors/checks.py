@@ -17,7 +17,7 @@ from itertools import chain, cycle
 from json.encoder import encode_basestring_ascii
 from operator import eq, le
 
-from .certificates import perturbation_sound
+from .certificates import averaged_class, bn5_pullback, certify, perturbation_sound, quad3_pullback
 from .exact import Poly, rat_str
 from .family import (
     b0,
@@ -38,7 +38,6 @@ from .family import (
 )
 from .grr import c1_pushforward, porteous_equal_rank, total_boundary
 from .picard import CANONICAL_JSON, DivisorClass
-from .presets import averaged_class, bn5_pullback, certify, quad3_pullback
 
 
 def _fmt(x) -> str:

@@ -17,10 +17,10 @@ import textwrap
 import click
 
 from . import checks
-from .certificates import CertificateError, canonical_class, catalog_load
+from .certificates import (CertificateError, averaged_class, bn5_pullback, canonical_class,
+                           catalog_load, certify)
 from .family import gn_pair, quad_class
 from .picard import CANONICAL_JSON, MalformedClassError, class_to_dict
-from .presets import averaged_class, bn5_pullback, certify
 
 
 def _width() -> int:

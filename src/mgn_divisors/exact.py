@@ -297,8 +297,6 @@ def solve_linear(matrix, rhs) -> LinearSolution:
         raise ValueError("ragged matrix")
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
-    piv_rows: list[int] = []
-    piv_cols: list[int] = []
     r = 0
     for c in range(n_cols):
         pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
@@ -313,19 +311,17 @@ def solve_linear(matrix, rhs) -> LinearSolution:
             for j in range(c, n_cols):
                 m[i][j] -= f * m[r][j]
             t[i] -= f * t[r]
-        piv_rows.append(r)
-        piv_cols.append(c)
         r += 1
     for i in range(r, n_rows):
         if t[i] != 0:
             return INFEASIBLE
-    if len(piv_cols) < n_cols:
+    if r < n_cols:
         return UNDERDETERMINED
+    # full column rank: every column has a pivot, so pivot k sits at (k, k)
     x = [Fraction(0)] * n_cols
-    for k in range(len(piv_cols) - 1, -1, -1):
-        row, col = piv_rows[k], piv_cols[k]
-        s = t[row]
-        for j in range(col + 1, n_cols):
-            s -= m[row][j] * x[j]
-        x[col] = s / m[row][col]
+    for k in range(n_cols - 1, -1, -1):
+        s = t[k]
+        for j in range(k + 1, n_cols):
+            s -= m[k][j] * x[j]
+        x[k] = s / m[k][k]
     return LinearSolution("unique", tuple(v if isinstance(v, Poly) else scalar(v) for v in x))

@@ -417,9 +417,10 @@ class DivisorClass:
 
     Each family of coefficients is a layer: a rest shared by every key, plus
     the keys whose value differs from it.  psi is a layer over the labels:
-    `psi_rest` (default Exact(0)) plus the labels that `psi` lists; `psi` may
-    also be one scalar (every label) or a sequence of n values, and when every
-    label is listed the rest becomes the most common listed value.  The
+    either one value for every label (`psi=c`), or `psi_rest` (default
+    Exact(0)) plus the labels that a dict `psi` lists; when every label is
+    listed the rest becomes the most common listed value.  A single `psi`
+    value with a `psi_rest` is ambiguous and raises ValueError.  The
     boundary is a layer over the rows i: `boundary_rest` (default Exact(0))
     plus the `boundary_rows` entries, each a Row, one kind and one formula in
     s (a Coefficient or a scalar is a constant row).  Each row is a layer
@@ -437,19 +438,16 @@ class DivisorClass:
     __slots__ = ("space", "lam", "delta_irr", "_psi", "_psi_rest",
                  "_explicit", "_orbits", "_rows", "_rest")
 
-    def __init__(self, space, lam=0, psi=0, delta_irr=0, boundary=None, boundary_sym=None,
-                 boundary_rest=EXACT_ZERO, psi_rest=EXACT_ZERO, boundary_rows=None):
+    def __init__(self, space, lam=0, psi=None, delta_irr=0, boundary=None, boundary_sym=None,
+                 boundary_rest=EXACT_ZERO, psi_rest=None, boundary_rows=None):
         self.space = space
         self.lam = coeff(lam)
-        psi_rest = coeff(psi_rest)
-        if isinstance(psi, dict):
-            entries = psi
-        elif isinstance(psi, (tuple, list)):
-            if len(psi) != space.n:
-                raise ValueError("psi vector length does not match n")
-            entries = dict(zip(space.labels, psi))
-        else:
+        if psi is None or isinstance(psi, dict):
+            entries, psi_rest = psi or {}, EXACT_ZERO if psi_rest is None else coeff(psi_rest)
+        elif psi_rest is None:
             entries, psi_rest = {}, coeff(psi)
+        else:
+            raise ValueError("psi is one value for every label; psi_rest goes with a dict psi")
         listed = {}
         for j, c in entries.items():
             _check_label(space, j)
@@ -901,7 +899,11 @@ def class_from_dict(doc: dict) -> DivisorClass:
         delta_irr = Coefficient.from_json(doc["delta_irr"])
         boundary = {}
         for entry in doc.get("boundary", []):
-            i, S = _wire_int(entry["i"]), frozenset(_wire_int(x) for x in entry["S"])
+            i, S = _wire_int(entry["i"]), entry["S"]
+            if type(S) is not list or len(set(map(_wire_int, S))) != len(S):
+                raise MalformedClassError(
+                    f"S must be a JSON array of distinct JSON integers, got {S!r}")
+            S = frozenset(S)
             idx = canonical_index(space, i, S)
             if (idx.i, idx.S) != (i, S):
                 raise MalformedClassError(

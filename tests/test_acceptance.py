@@ -4,7 +4,8 @@ single PASS/FAIL line so the suite doubles as a human-readable report."""
 import random
 from fractions import Fraction
 
-from mgn_divisors.certificates import canonical_class, perturbation_sound
+from mgn_divisors.certificates import (
+    averaged_class, bn5_pullback, canonical_class, certify, perturbation_sound, quad3_pullback)
 from mgn_divisors.exact import Poly
 from mgn_divisors.family import (
     b1_pairing_via_class,
@@ -30,7 +31,6 @@ from mgn_divisors.picard import (
     canonical_index,
     intersect_test_curve,
 )
-from mgn_divisors.presets import averaged_class, bn5_pullback, certify, quad3_pullback
 
 from conftest import all_canonical_indices, deserialize, serialize
 
@@ -190,7 +190,7 @@ def test_criterion_10_property_suites():
         return DivisorClass(
             space,
             lam=rng.randint(-9, 9),
-            psi=[rng.randint(-9, 9) for _ in space.labels],
+            psi={j: rng.randint(-9, 9) for j in space.labels},
             delta_irr=rng.randint(-9, 9),
             boundary={idx: rng.randint(-9, 9) for idx in indices},
         )

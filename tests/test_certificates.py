@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from mgn_divisors import certificates, checks, presets
+from mgn_divisors import certificates, checks
 from mgn_divisors.certificates import (
+    RECIPES,
     CertificateError,
     InfeasibleCertificateError,
     NegativeCoefficientError,
@@ -13,6 +14,8 @@ from mgn_divisors.certificates import (
     canonical_class,
     catalog_get,
     catalog_load,
+    certificate_components,
+    certify,
     perturbation_sound,
     solve_certificate,
 )
@@ -21,7 +24,6 @@ from mgn_divisors.picard import (
     Coefficient, DivisorClass, MalformedClassError, Space,
     TestCurve as Pencil, UNKNOWN, boundary_orbits,
     class_to_dict, intersect_test_curve)
-from mgn_divisors.presets import RECIPES, certificate_components, certify
 from mgn_divisors.pullbacks import forgetful_pullback
 
 from conftest import dense_document, run_records, write_catalog
@@ -405,6 +407,6 @@ class TestRecipes:
 
     def test_tails_that_miss_the_genus_fail_where_the_map_is_built(self, monkeypatch):
         # two rational tails on genus 16 reach genus 16, not the family's 17
-        monkeypatch.setitem(presets.RECIPES, (16, 8), (("D_16_8", (0, 0, 8)), ("Z16", 0)))
+        monkeypatch.setitem(certificates.RECIPES, (16, 8), (("D_16_8", (0, 0, 8)), ("Z16", None)))
         with pytest.raises(ValueError, match="genus bookkeeping"):
             certificate_components(16, 8)

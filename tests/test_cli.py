@@ -500,7 +500,9 @@ class TestCertifyCatalogErrors:
         ("lambda", {"exact": "1/0"}, "1/0"),
         ("boundary_sym", [{"i": 1.9, "s": 0, "c": {"exact": "-5"}}], "JSON integer"),
         ("space", {"g": True, "n": 0}, "JSON integer"),
-    ], ids=["number-coefficient", "zero-denominator", "float-index", "boolean-genus"])
+        ("boundary", [{"i": 1, "S": "", "c": {"exact": "-5"}}], "JSON array"),
+    ], ids=["number-coefficient", "zero-denominator", "float-index", "boolean-genus",
+            "string-S"])
     def test_malformed_wire_value(self, runner, tmp_path, where, value, needle):
         cls = {"space": {"g": 12, "n": 0}, "lambda": {"exact": "13245"},
                "delta_irr": {"exact": "-1926"}}

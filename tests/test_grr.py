@@ -4,11 +4,10 @@ from math import comb
 import pytest
 
 from mgn_divisors import checks
-from mgn_divisors.certificates import canonical_class
+from mgn_divisors.certificates import canonical_class, certify
 from mgn_divisors.family import family_space, quad_class
 from mgn_divisors.grr import c1_pushforward, porteous_equal_rank, total_boundary
 from mgn_divisors.picard import Coefficient, DivisorClass, Space
-from mgn_divisors.presets import certify
 
 from conftest import run_records
 

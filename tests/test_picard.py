@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgn_divisors import picard
-from mgn_divisors.certificates import _CATALOG, canonical_class
+from mgn_divisors.certificates import _CATALOG, averaged_class, bn5_pullback, canonical_class
 from mgn_divisors.exact import scalar
 from mgn_divisors.family import quad_class
-from mgn_divisors.presets import averaged_class, bn5_pullback
 from mgn_divisors.picard import (
     BoundaryIndex,
     Coefficient,
@@ -217,7 +216,7 @@ def simple_classes(space):
     indices = list(all_canonical_indices(space))
     return st.builds(
         lambda lam, psi, d, bd: DivisorClass(
-            space, lam=lam, psi=psi, delta_irr=d,
+            space, lam=lam, psi=dict(zip(space.labels, psi)), delta_irr=d,
             boundary={idx: c for idx, c in zip(indices, bd)},
         ),
         coeffs,
@@ -664,7 +663,8 @@ def pairing_classes(draw, space):
     orbits, indices = list(boundary_orbits(space)), list(all_canonical_indices(space))
     return DivisorClass(
         space,
-        psi=draw(st.lists(mostly_exact, min_size=space.n, max_size=space.n)),
+        psi=dict(zip(space.labels, draw(st.lists(mostly_exact, min_size=space.n,
+                                                 max_size=space.n)))),
         boundary_rest=draw(mostly_exact),
         boundary_sym=draw(st.dictionaries(st.sampled_from(orbits), mostly_exact,
                                           max_size=len(orbits))) if orbits else {},
@@ -766,8 +766,8 @@ class TestPairingBruteForce:
         rest = data.draw(small)
         sym = data.draw(st.dictionaries(st.sampled_from(orbits), small))
         explicit = {m: data.draw(listed) for m in members if data.draw(st.booleans())}
-        cls = DivisorClass(space, psi=psi, boundary_rest=rest, boundary_sym=sym,
-                           boundary=explicit)
+        cls = DivisorClass(space, psi=dict(zip(space.labels, psi)), boundary_rest=rest,
+                           boundary_sym=sym, boundary=explicit)
         for curve in every_test_curve(space):
             assert (intersect_test_curve(cls, curve)
                     == brute_force_pairing(space, curve, psi, rest, sym, explicit)), curve
@@ -968,17 +968,17 @@ def psi_values():
 
 @st.composite
 def psi_specs(draw, space):
-    """psi constructor arguments of every shape (one scalar, a sequence of n
-    values, or a dict over a rest, which may list every label), with the
+    """psi constructor arguments of every shape (one scalar, a dict of every
+    label, or a dict over a rest, which may list every label), with the
     per-label reference vector they stand for."""
     labels = list(space.labels)
-    shape = draw(st.sampled_from(["scalar", "sequence", "dict"]))
+    shape = draw(st.sampled_from(["scalar", "every label", "dict"]))
     if shape == "scalar":
         c = draw(psi_values())
         return dict(psi=c), [c] * space.n
-    if shape == "sequence":
+    if shape == "every label":
         vec = draw(st.lists(psi_values(), min_size=space.n, max_size=space.n))
-        return dict(psi=vec), vec
+        return dict(psi=dict(zip(labels, vec))), vec
     rest = draw(psi_values())
     listed = draw(st.dictionaries(st.sampled_from(labels), psi_values())) if labels else {}
     return dict(psi=listed, psi_rest=rest), [listed.get(j, rest) for j in labels]
@@ -1066,7 +1066,7 @@ class TestPsiLayers:
 
     def test_tie_of_two_values_stores_either_rest(self):
         space = Space(2, 2)
-        folded = DivisorClass(space, psi=[1, 2])
+        folded = DivisorClass(space, psi={1: 1, 2: 2})
         other = DivisorClass(space, psi={1: 1}, psi_rest=2)
         assert folded.psi_rest != other.psi_rest
         assert folded == other and hash(folded) == hash(other)
@@ -1096,6 +1096,25 @@ class TestPsiLayers:
     @pytest.mark.parametrize("psi", [{1: 2, 7: 5}, {0: 1}, {-1: 1}])
     def test_constructor_rejects_foreign_labels(self, psi):
         with pytest.raises(ValueError, match="psi label"):
+            DivisorClass(SPACE_53, psi=psi)
+
+    def test_psi_rest_alone_sets_the_rest(self):
+        space = Space(4, 3)
+        cls = DivisorClass(space, psi_rest=5)
+        assert cls.psi_rest == Coefficient.exact(5)
+        assert psi_vector(cls) == [Coefficient.exact(5)] * 3
+        assert cls == DivisorClass(space, psi=5)
+
+    @pytest.mark.parametrize("psi", [0, 5, UNKNOWN])
+    @pytest.mark.parametrize("psi_rest", [0, 2])
+    def test_one_psi_value_with_a_rest_rejected(self, psi, psi_rest):
+        with pytest.raises(ValueError, match="psi_rest"):
+            DivisorClass(SPACE_53, psi=psi, psi_rest=psi_rest)
+
+    @pytest.mark.parametrize("psi", [[1, 2, 3], (1, 2, 3)])
+    def test_sequence_psi_rejected(self, psi):
+        # psi lists its labels in a dict; a sequence is not read as one value per label
+        with pytest.raises(TypeError):
             DivisorClass(SPACE_53, psi=psi)
 
 
@@ -1244,6 +1263,11 @@ class TestSerialization:
         ("psi_rest", "zero"),
         ("boundary_rest", {"at_least": "1/0"}),
         ("boundary_rest", None),
+        # S is a JSON array of distinct labels: iterating "" or {} reads as the
+        # empty set, and [1, 1] as {1}
+        ("boundary", [{"i": 1, "S": "", "c": {"exact": "-5"}}]),
+        ("boundary", [{"i": 1, "S": {}, "c": {"exact": "-5"}}]),
+        ("boundary", [{"i": 1, "S": [1, 1], "c": {"exact": "-5"}}]),
     ])
     def test_malformed_layer_rejected(self, field, value):
         doc = class_to_dict(DivisorClass(SPACE_53))

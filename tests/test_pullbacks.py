@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from mgn_divisors import presets
-from mgn_divisors.certificates import bn_class, catalog_get
+from mgn_divisors import certificates
+from mgn_divisors.certificates import (
+    RECIPES, averaged_class, bn5_pullback, bn_class, catalog_get, quad3_pullback)
 from mgn_divisors.exact import Poly
 from mgn_divisors.family import b0, b1, pic12_reduce, quad_class
 from mgn_divisors.picard import (
@@ -16,7 +17,6 @@ from mgn_divisors.picard import (
     row_count,
 )
 from mgn_divisors.pullbacks import ClutchingMap, TailAttachment, clutch_pullback, forgetful_pullback
-from mgn_divisors.presets import RECIPES, averaged_class, bn5_pullback, quad3_pullback
 
 from conftest import dense_document, nonzero_orbits, stored_boundary_entries
 
@@ -265,7 +265,7 @@ class TestAveraging:
 
     @pytest.mark.parametrize("g", [16, 17], ids=lambda g: f"averaged_class_{g}_8")
     def test_builds_one_clutching_pullback(self, clutch_pullback_calls, g):
-        maps = clutch_pullback_calls(presets)
+        maps = clutch_pullback_calls(certificates)
         averaged_class(g)
         assert len(maps) == 1
 
@@ -295,7 +295,7 @@ class TestAveraging:
 
     @pytest.mark.parametrize("g", [16, 17], ids=lambda g: f"averaged_class_{g}_8")
     def test_average_builds_the_family_class_once(self, quad_class_builds, g):
-        built = quad_class_builds(presets)
+        built = quad_class_builds(certificates)
         averaged_class(g)
         assert built == [3]
 
