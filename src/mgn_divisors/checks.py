@@ -187,12 +187,13 @@ def check_grr(t_max: int = 8):
         space = family_space(t0)
         e = c1_pushforward(space, 1, -1)
         f = c1_pushforward(space, 2, -2)
+        boundary = total_boundary(space, -1)
         expected_e = DivisorClass(space, lam=1, psi=-1)
-        expected_f = DivisorClass(space, lam=13, psi=-5).add(total_boundary(space, -1))
+        expected_f = DivisorClass(space, lam=13, psi=-5).add(boundary)
         yield single(once, (t0,), e == expected_e, True)
         yield single(twice, (t0,), f == expected_f, True)
         d1 = porteous_equal_rank(e, t0 + 4, f)
-        expected_d1 = DivisorClass(space, lam=8 - t0, psi=t0).add(total_boundary(space, -1))
+        expected_d1 = DivisorClass(space, lam=8 - t0, psi=t0).add(boundary)
         yield single(porteous, (t0,), d1 == expected_d1, True)
         q = quad_class(t0)
         # two symmetric psi parts agree when their rests do

@@ -143,17 +143,17 @@ def quad_class(t: int) -> DivisorClass:
     bn_class(5).  Whatever t is, the class stores at most three boundary
     entries.
     """
-    return DivisorClass(
-        family_space(t),
-        lam=8 - t,
-        psi=t,
-        delta_irr=-1,
-        boundary_rows={0: Row.formula("exact", (0, 1 - t, -t - 1), 2),
-                       1: Row.formula("exact", (-6, t - 1, -t - 1), 2)},
-        boundary_sym={(1, 0): -(t + 4)},
-        # classical BN^1_{5,3} value at t = 0
-        boundary_rest=Coefficient.exact(-6) if t == 0 else Coefficient.at_most(-1),
-    )
+    space = family_space(t)
+    rows = {0: Row.formula("exact", (0, 1 - t, -t - 1), 2),
+            1: Row.formula("exact", (-6, t - 1, -t - 1), 2)}
+    if space.n < 2:  # t = 0: row 0 holds no orbit, and a stored class lists no such row
+        del rows[0]
+    # classical BN^1_{5,3} value at t = 0
+    rest = Coefficient.exact(-6) if t == 0 else Coefficient.at_most(-1)
+    return object.__new__(DivisorClass)._store(
+        space, lam=Coefficient.exact(8 - t), delta_irr=Coefficient.exact(-1),
+        psi_rest=Coefficient.exact(t), rest=rest, rows=rows,
+        orbits={(1, 0): Coefficient.exact(-(t + 4))})
 
 
 # ---------------------------------------------------------------------------

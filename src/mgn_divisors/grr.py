@@ -16,7 +16,7 @@ from .picard import Coefficient, DivisorClass, Space
 def total_boundary(space: Space, scalar=1) -> DivisorClass:
     """delta_irr plus every canonical boundary divisor, times scalar."""
     c = Coefficient.exact(scalar)
-    return DivisorClass(space, delta_irr=c, boundary_rest=c)
+    return object.__new__(DivisorClass)._store(space, delta_irr=c, rest=c)
 
 
 def c1_pushforward(space: Space, power: int, twist: int) -> DivisorClass:
@@ -54,12 +54,12 @@ def c1_pushforward(space: Space, power: int, twist: int) -> DivisorClass:
     # ints.
     kappa_weight = half(power * power - power)
     d = twist - power
-    return DivisorClass(
+    return object.__new__(DivisorClass)._store(
         space,
-        lam=1 + 12 * kappa_weight,
-        psi=kappa_weight - half(d * d + d),
-        delta_irr=-kappa_weight,
-        boundary_rest=-kappa_weight,
+        lam=Coefficient.exact(1 + 12 * kappa_weight),
+        delta_irr=Coefficient.exact(-kappa_weight),
+        psi_rest=Coefficient.exact(kappa_weight - half(d * d + d)),
+        rest=Coefficient.exact(-kappa_weight),
     )
 
 

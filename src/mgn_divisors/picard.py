@@ -24,15 +24,23 @@ orbits one by one, so it always decides.  This is what makes large spaces
 this package constructs has one psi coefficient and is label-symmetric on the
 boundary, and its rows are constants or low-degree formulas in s with a few
 exceptions, so arithmetic costs O(listed keys), not O(all orbits) or O(n).
+
+Coefficients and Rows are tuples, built and compared in C.  Every class is
+stored by DivisorClass._store, which drops each entry equal to its layer's
+rest: the constructor checks its arguments first, while arithmetic and the
+package's own class builders store valid layers without those checks.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import zip_longest
 from math import comb, gcd
+from types import MappingProxyType
 
 from .exact import Poly, Scalar, parse_rat, rat_str, scalar
 
@@ -61,34 +69,49 @@ class MalformedClassError(PicardError):
 # coefficients
 
 
-@dataclass(frozen=True)
-class Coefficient:
+def _not_defined(self, other):
+    """A tuple's ordering or repetition, which a Coefficient or a Row does not have."""
+    return NotImplemented
+
+
+class Coefficient(namedtuple("Coefficient", "kind value")):
     """Exact value, one-sided bound, or no information at all.
 
     AtLeast(r) means "the true coefficient is >= r"; AtMost(r) the mirror.
     Addition and scaling propagate what is still known: adding opposite-sided
     bounds, or negating a one-sided bound, loses the direction.
 
-    The value is stored in the normal form of exact.scalar: an int when it is
-    integral, else a Fraction, never a float.  Every constructor, sum,
-    scaling and JSON load below normalizes, so the integral coefficients that
-    most classes carry add, scale and compare as ints.
+    A Coefficient is an immutable (kind, value) tuple: building one is one
+    tuple allocation, and equality and hashing are the tuple's, decided in C.
+    It does not order or repeat as a tuple does, and + is coefficient
+    addition.  kind is "exact", "at_least", "at_most" or "unknown" (which
+    stores None).  A known value is stored in the normal form of
+    exact.scalar: an int when it is integral, else a Fraction, never a float.
+    The constructor passes an int through and normalizes any other known
+    value (a float or None raises TypeError), so every sum, scaling and JSON
+    load is normal, and the integral coefficients that most classes carry
+    add, scale and compare as ints.
     """
 
-    kind: str  # "exact" | "at_least" | "at_most" | "unknown"
-    value: Scalar | None = None
+    __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = __mul__ = __rmul__ = _not_defined
+
+    def __new__(cls, kind: str, value: Scalar | None = None):
+        if type(value) is not int and kind != "unknown":
+            value = scalar(value)
+        return _normal((kind, value))
 
     @staticmethod
     def exact(v: Scalar) -> "Coefficient":
-        return Coefficient("exact", scalar(v))
+        return Coefficient("exact", v)
 
     @staticmethod
     def at_least(v: Scalar) -> "Coefficient":
-        return Coefficient("at_least", scalar(v))
+        return Coefficient("at_least", v)
 
     @staticmethod
     def at_most(v: Scalar) -> "Coefficient":
-        return Coefficient("at_most", scalar(v))
+        return Coefficient("at_most", v)
 
     @property
     def is_exact(self) -> bool:
@@ -104,7 +127,8 @@ class Coefficient:
         kind = _sum_kind(self.kind, other.kind)
         if kind == "unknown":
             return UNKNOWN
-        return Coefficient(kind, scalar(self.value + other.value))
+        v = self.value + other.value
+        return _normal((kind, v if type(v) is int else scalar(v)))
 
     def scaled(self, c: Scalar) -> "Coefficient":
         c = scalar(c)
@@ -112,7 +136,8 @@ class Coefficient:
             return EXACT_ZERO
         if self.kind == "unknown":
             return UNKNOWN
-        return Coefficient(_scaled_kind(self.kind, c), scalar(self.value * c))
+        v = self.value * c
+        return _normal((_scaled_kind(self.kind, c), v if type(v) is int else scalar(v)))
 
     def __str__(self):
         if self.kind == "unknown":
@@ -132,7 +157,7 @@ class Coefficient:
             (kind, text), = doc.items()
             if kind in ("exact", "at_least", "at_most"):
                 try:
-                    return Coefficient(kind, scalar(parse_rat(text)))
+                    return Coefficient(kind, parse_rat(text))
                 except (ValueError, TypeError) as e:
                     raise MalformedClassError(f"bad coefficient value: {text!r}") from e
         raise MalformedClassError(f"bad coefficient document: {doc!r}")
@@ -146,6 +171,7 @@ def _sum_kind(a: str, b: str) -> str:
     return b if a == "exact" else "unknown"
 
 
+_INT = {int}
 _FLIPPED = {"exact": "exact", "at_least": "at_most", "at_most": "at_least"}
 _PREFIX = {"exact": "", "at_least": ">=", "at_most": "<="}  # how a known kind prints
 
@@ -155,39 +181,41 @@ def _scaled_kind(kind: str, c: Scalar) -> str:
     return _FLIPPED[kind] if c < 0 else kind
 
 
+# the one maker of Coefficients: from a (kind, normal value) pair, in C
+_normal = partial(tuple.__new__, Coefficient)
 EXACT_ZERO = Coefficient.exact(0)
-UNKNOWN = Coefficient("unknown", None)
+UNKNOWN = Coefficient("unknown")
+_NO_ENTRIES = MappingProxyType({})  # an empty layer, read-only
 
 
 def coeff(x) -> Coefficient:
     """Wrap a scalar as Exact; pass Coefficient values through."""
     if isinstance(x, Coefficient):
         return x
-    return Coefficient.exact(x)
+    return Coefficient("exact", x)
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(namedtuple("Row", "kind num den", defaults=((), 1))):
     """One coefficient kind and one formula in s, for a whole boundary row.
 
     The value at s is Coefficient(kind, (num[0] + num[1] s + num[2] s^2 + ...)
     / den), evaluated by Horner in ints, so reading a row costs what int
-    arithmetic costs.  The stored form is normal (`Row.formula` builds it):
-    den > 0 and coprime to the numerator's content, no trailing zero in num,
-    and an Unknown row stores no formula.  Two rows are equal exactly when
-    their formulas are; sums and scalings act on the formulas and agree with
-    Coefficient arithmetic at every s.
+    arithmetic costs.  Like a Coefficient, a Row is an immutable tuple,
+    (kind, num, den), compared in C.  The stored form is normal (`Row.formula`
+    builds it): den > 0 and coprime to the numerator's content, no trailing
+    zero in num, and an Unknown row stores no formula.  Two rows are equal
+    exactly when their formulas are; sums and scalings act on the formulas and
+    agree with Coefficient arithmetic at every s.
     """
 
-    kind: str
-    num: tuple = ()
-    den: int = 1
+    __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = __mul__ = __rmul__ = _not_defined
 
     @staticmethod
     def formula(kind: str, num, den: int = 1) -> "Row":
         """The normal row of kind `kind` with value sum(num[k] s^k) / den."""
         num = list(num)
-        if not all(type(x) is int for x in (*num, den)):
+        if type(den) is not int or not _INT.issuperset(map(type, num)):
             raise TypeError(f"a row formula takes ints, got {num!r} / {den!r}")
         if den == 0:
             raise ZeroDivisionError("row formula with denominator 0")
@@ -198,7 +226,7 @@ class Row:
         while num and not num[-1]:
             num.pop()
         common = gcd(den, *num) * (1 if den > 0 else -1)
-        return Row(kind, tuple(x // common for x in num), den // common)
+        return Row(kind, tuple([x // common for x in num]), den // common)
 
     @staticmethod
     def const(c: Coefficient) -> "Row":
@@ -219,7 +247,7 @@ class Row:
         if self.den != 1:
             q, r = divmod(v, self.den)
             v = Fraction(v, self.den) if r else q
-        return Coefficient(self.kind, v)
+        return _normal((self.kind, v))
 
     def __add__(self, other: "Row") -> "Row":
         kind = _sum_kind(self.kind, other.kind)
@@ -409,7 +437,14 @@ def _layers_agree(a_rest, a: dict, b_rest, b: dict, size,
 def _layer_sum(a_rest, a: dict, b_rest, b: dict):
     """The (rest, entries) layer whose value at every key is the sum of two
     layers' values there; it lists the keys that either layer lists."""
+    if not (a or b):
+        return a_rest + b_rest, _NO_ENTRIES
     return a_rest + b_rest, {k: a.get(k, a_rest) + b.get(k, b_rest) for k in a.keys() | b.keys()}
+
+
+def _layer_scaled(entries: dict, c: Scalar) -> dict:
+    """Every entry of a layer, a Coefficient or a Row, times c."""
+    return {k: v.scaled(c) for k, v in entries.items()} if entries else _NO_ENTRIES
 
 
 class DivisorClass:
@@ -432,16 +467,16 @@ class DivisorClass:
     The stored form is normal: an entry equal to its layer's rest is dropped,
     and so is a row that holds no orbit (row 0 when n < 2).  All arithmetic is
     generator-wise Coefficient arithmetic, or Row arithmetic on a whole row,
-    and costs O(listed keys), independent of n.
+    and costs O(listed keys), independent of n; its results skip the
+    constructor's checks.  Two classes that list only rests compare in O(1).
     """
 
     __slots__ = ("space", "lam", "delta_irr", "_psi", "_psi_rest",
                  "_explicit", "_orbits", "_rows", "_rest")
 
-    def __init__(self, space, lam=0, psi=None, delta_irr=0, boundary=None, boundary_sym=None,
-                 boundary_rest=EXACT_ZERO, psi_rest=None, boundary_rows=None):
-        self.space = space
-        self.lam = coeff(lam)
+    def __init__(self, space, lam=EXACT_ZERO, psi=None, delta_irr=EXACT_ZERO, boundary=None,
+                 boundary_sym=None, boundary_rest=EXACT_ZERO, psi_rest=None, boundary_rows=None):
+        lam = coeff(lam)
         if psi is None or isinstance(psi, dict):
             entries, psi_rest = psi or {}, EXACT_ZERO if psi_rest is None else coeff(psi_rest)
         elif psi_rest is None:
@@ -452,19 +487,11 @@ class DivisorClass:
         for j, c in entries.items():
             _check_label(space, j)
             listed[j] = coeff(c)
-        if len(listed) == space.n:
-            # every label is listed: the most common value becomes the rest
-            counts = {}
-            for c in listed.values():
-                counts[c] = counts.get(c, 0) + 1
-            psi_rest = max(counts, key=counts.get, default=EXACT_ZERO)
-        self._psi = {j: c for j, c in listed.items() if c != psi_rest}
-        self._psi_rest = psi_rest
-        self.delta_irr = coeff(delta_irr)
+        delta_irr = coeff(delta_irr)
 
         g, n = space.g, space.n
-        self._rest = rest = coeff(boundary_rest)
-        self._rows = rows = {}
+        rest = coeff(boundary_rest)
+        rows = {}
         for i, row in (boundary_rows or {}).items():
             if type(i) is not int:
                 raise ValueError(f"boundary row {i!r} is not an int")
@@ -473,10 +500,10 @@ class DivisorClass:
             # a Row built directly is checked and brought to normal form here
             row = (Row.formula(row.kind, row.num, row.den) if isinstance(row, Row)
                    else Row.const(coeff(row)))
-            if row != Row.const(rest) and _row_start(space, i) <= n:
+            if _row_start(space, i) <= n:
                 rows[i] = row
 
-        self._orbits = orbits = {}
+        orbits = {}
         starts = {}  # row i -> its least s, found once per row; n + 1 where there is no row i
         for key, c in (boundary_sym or {}).items():
             if not (type(key) is tuple and len(key) == 2
@@ -488,10 +515,7 @@ class DivisorClass:
                 start = starts[i] = _row_start(space, i) if 0 <= 2 * i <= g else n + 1
             if not start <= s <= n:
                 raise UnstableIndexError(f"no canonical boundary orbit {key} on {space}")
-            c = coeff(c)
-            row = rows.get(i)
-            if c != (rest if row is None else row.at(s)):
-                orbits[key] = c
+            orbits[key] = coeff(c)
 
         explicit = {}
         for key, c in (boundary or {}).items():
@@ -502,12 +526,48 @@ class DivisorClass:
             members = explicit.setdefault((idx.i, idx.s), {})
             c = coeff(c)
             members[idx] = members[idx] + c if idx in members else c
+        self._store(space, lam, delta_irr, psi_rest, listed, rest, rows, orbits, explicit)
+
+    def _store(self, space, lam=EXACT_ZERO, delta_irr=EXACT_ZERO, psi_rest=EXACT_ZERO,
+               psi=_NO_ENTRIES, rest=EXACT_ZERO, rows=_NO_ENTRIES, orbits=_NO_ENTRIES,
+               explicit=_NO_ENTRIES) -> "DivisorClass":
+        """Store the layers in normal form and return self; every class is
+        stored here.  Each entry equal to its layer's rest is dropped, and a
+        psi that lists every label takes its most common value as the rest
+        (Exact(0) on an unmarked space).  Nothing is checked: the values are
+        normal Coefficients (Rows in `rows`), every key is a valid label, row
+        holding an orbit, or orbit, and `explicit` maps an orbit (i, s) to
+        its members under canonical BoundaryIndex keys."""
+        if len(psi) == space.n:
+            counts = {}
+            for c in psi.values():
+                counts[c] = counts.get(c, 0) + 1
+            psi_rest = max(counts, key=counts.get, default=EXACT_ZERO)
+        self.space = space
+        self.lam = lam
+        self.delta_irr = delta_irr
+        self._psi_rest = psi_rest
+        self._rest = rest
+        # an empty layer, the common case, skips its filter
+        self._psi = {j: c for j, c in psi.items() if c != psi_rest} if psi else {}
+        if rows:
+            flat = Row.const(rest)
+            rows = {i: row for i, row in rows.items() if row != flat}
+        self._rows = rows = rows or {}
+        self._orbits = {}
+        if orbits:
+            for key, c in orbits.items():
+                row = rows.get(key[0])
+                if c != (rest if row is None else row.at(key[1])):
+                    self._orbits[key] = c
         self._explicit = {}
-        for key, members in explicit.items():
-            value = self._orbit_value(key)
-            kept = {idx: c for idx, c in members.items() if c != value}
-            if kept:
-                self._explicit[key] = kept
+        if explicit:
+            for key, members in explicit.items():
+                value = self._orbit_value(key)
+                kept = {idx: c for idx, c in members.items() if c != value}
+                if kept:
+                    self._explicit[key] = kept
+        return self
 
     # -- accessors ---------------------------------------------------------
 
@@ -570,44 +630,32 @@ class DivisorClass:
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_space(self, other):
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise SpaceMismatchError(f"{self.space} vs {other.space}")
 
     def add(self, other: "DivisorClass") -> "DivisorClass":
         self._require_same_space(other)
         psi_rest, psi = _layer_sum(self._psi_rest, self._psi, other._psi_rest, other._psi)
-        rows = {i: self._row(i) + other._row(i) for i in self._rows.keys() | other._rows.keys()}
-        orbits = {key: self._orbit_value(key) + other._orbit_value(key)
-                  for key in self._orbits.keys() | other._orbits.keys()}
-        explicit = {}
-        for key in self._explicit.keys() | other._explicit.keys():
-            explicit.update(_layer_sum(*self._orbit_layer(key), *other._orbit_layer(key))[1])
-        return DivisorClass(
-            self.space,
-            lam=self.lam + other.lam,
-            psi=psi,
-            psi_rest=psi_rest,
-            delta_irr=self.delta_irr + other.delta_irr,
-            boundary=explicit,
-            boundary_sym=orbits,
-            boundary_rows=rows,
-            boundary_rest=self._rest + other._rest,
-        )
+        rows = orbits = explicit = _NO_ENTRIES  # a layer neither class lists stays empty
+        if self._rows or other._rows:
+            rows = {i: self._row(i) + other._row(i) for i in self._rows.keys() | other._rows.keys()}
+        if self._orbits or other._orbits:
+            orbits = {key: self._orbit_value(key) + other._orbit_value(key)
+                      for key in self._orbits.keys() | other._orbits.keys()}
+        if self._explicit or other._explicit:
+            explicit = {key: _layer_sum(*self._orbit_layer(key), *other._orbit_layer(key))[1]
+                        for key in self._explicit.keys() | other._explicit.keys()}
+        return object.__new__(DivisorClass)._store(
+            self.space, self.lam + other.lam, self.delta_irr + other.delta_irr, psi_rest, psi,
+            self._rest + other._rest, rows, orbits, explicit)
 
     def scale(self, c: Scalar) -> "DivisorClass":
         c = scalar(c)
-        return DivisorClass(
-            self.space,
-            lam=self.lam.scaled(c),
-            psi={j: p.scaled(c) for j, p in self._psi.items()},
-            psi_rest=self._psi_rest.scaled(c),
-            delta_irr=self.delta_irr.scaled(c),
-            boundary={idx: v.scaled(c) for members in self._explicit.values()
-                      for idx, v in members.items()},
-            boundary_sym={k: v.scaled(c) for k, v in self._orbits.items()},
-            boundary_rows={i: row.scaled(c) for i, row in self._rows.items()},
-            boundary_rest=self._rest.scaled(c),
-        )
+        return object.__new__(DivisorClass)._store(
+            self.space, self.lam.scaled(c), self.delta_irr.scaled(c), self._psi_rest.scaled(c),
+            _layer_scaled(self._psi, c), self._rest.scaled(c), _layer_scaled(self._rows, c),
+            _layer_scaled(self._orbits, c),
+            {key: _layer_scaled(members, c) for key, members in self._explicit.items()})
 
     def symmetrized(self) -> "DivisorClass":
         """The average of the class over every relabelling of the n points, in
@@ -641,15 +689,10 @@ class DivisorClass:
         keys = {key for key in self._explicit if key[0] != middle}
         keys |= {(middle, t) for s in joined for t in (s, n - s) if t}
         psi = sum(self._psi.values(), self._psi_rest.scaled(n - len(self._psi)))
-        return DivisorClass(
-            space,
-            lam=self.lam,
-            psi=psi.scaled(Fraction(1, n)) if n else 0,
-            delta_irr=self.delta_irr,
-            boundary_sym={**self._orbits, **{key: mean(*key) for key in keys}},
-            boundary_rows=self._rows,
-            boundary_rest=self._rest,
-        )
+        return object.__new__(DivisorClass)._store(
+            space, self.lam, self.delta_irr, psi.scaled(Fraction(1, n)) if n else EXACT_ZERO,
+            rest=self._rest, rows=self._rows,
+            orbits={**self._orbits, **{key: mean(*key) for key in keys}})
 
     def __add__(self, other):
         if not isinstance(other, DivisorClass):
@@ -661,10 +704,16 @@ class DivisorClass:
     def __eq__(self, other):
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             return False
         if (self.lam, self.delta_irr) != (other.lam, other.delta_irr):
             return False
+        if not (self._psi or self._rows or self._orbits or self._explicit or other._psi
+                or other._rows or other._orbits or other._explicit):
+            # two classes that list nothing are equal exactly when their rests
+            # are: every space has a boundary row, and the psi rests of an
+            # unmarked space are both Exact(0)
+            return (self._psi_rest, self._rest) == (other._psi_rest, other._rest)
         return (_layers_agree(self._psi_rest, self._psi, other._psi_rest, other._psi,
                               lambda: self.space.n)
                 and self._boundary_equal(other))

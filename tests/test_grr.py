@@ -3,11 +3,11 @@ from math import comb
 
 import pytest
 
-from mgn_divisors import checks
+from mgn_divisors import checks, picard
 from mgn_divisors.certificates import canonical_class, certify
 from mgn_divisors.family import family_space, quad_class
 from mgn_divisors.grr import c1_pushforward, porteous_equal_rank, total_boundary
-from mgn_divisors.picard import Coefficient, DivisorClass, Space
+from mgn_divisors.picard import DivisorClass, Space
 
 from conftest import run_records
 
@@ -135,18 +135,46 @@ def test_grr_sweep_enumerates_no_orbits(boundary_orbit_yields):
     assert yielded
 
 
+def test_grr_sweep_builds_eleven_classes_per_t(monkeypatch):
+    """Work count, not time: per t the GRR sweep stores 11 classes, and only
+    the 3 expected classes it builds from plain numbers go through the
+    validating constructor.  Arithmetic, the pushforwards, total_boundary and
+    quad_class store their layers directly."""
+    store, validate = DivisorClass._store, DivisorClass.__init__
+    stored, validated = [], []
+
+    def counting_store(self, *args, **kwargs):
+        stored.append(1)
+        return store(self, *args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        validated.append(1)
+        validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(DivisorClass, "_store", counting_store)
+    monkeypatch.setattr(DivisorClass, "__init__", counting_init)
+    per_t = []
+    for k, _ in enumerate(checks.check_grr(16), 1):
+        if k % 4 == 0:  # four records per t
+            per_t.append((len(stored), len(validated)))
+            stored.clear()
+            validated.clear()
+    assert per_t == [(11, 3)] * 17
+
+
 def test_psi_work_does_not_grow_with_n(monkeypatch):
     """A class with one psi coefficient at every label costs O(1) in n: the
     Coefficients created by construction, add, scale, equality and the GRR
-    pushforward of a uniform bundle are as many on (173, 153) as on (17, 10)."""
-    build = Coefficient.__init__
+    pushforward of a uniform bundle are as many on (173, 153) as on (17, 10).
+    Every Coefficient is made by picard._normal, which is counted."""
+    build = picard._normal
     created = []
 
-    def counting(self, *args, **kwargs):
+    def counting(pair):
         created.append(1)
-        build(self, *args, **kwargs)
+        return build(pair)
 
-    monkeypatch.setattr(Coefficient, "__init__", counting)
+    monkeypatch.setattr(picard, "_normal", counting)
 
     def count(op):
         created.clear()

@@ -2,12 +2,13 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mgn_divisors import picard
 from mgn_divisors.certificates import _CATALOG, averaged_class, bn5_pullback, canonical_class
 from mgn_divisors.exact import scalar
 from mgn_divisors.family import quad_class
+from mgn_divisors.grr import c1_pushforward, total_boundary
 from mgn_divisors.picard import (
     BoundaryIndex,
     Coefficient,
@@ -78,6 +79,52 @@ class TestCoefficient:
             Coefficient.from_json({"exact": "1.5"})
         with pytest.raises(MalformedClassError):
             Coefficient.from_json({"about": "3"})
+
+    def test_attributes_cannot_be_assigned(self):
+        c = Coefficient.exact(1)
+        for name in ("kind", "value", "other"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, 2)
+        assert c == Coefficient.exact(1)
+
+    @pytest.mark.parametrize("compare", [
+        lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b])
+    def test_coefficients_do_not_order(self, compare):
+        with pytest.raises(TypeError):
+            compare(Coefficient.exact(1), Coefficient.exact(2))
+
+    def test_no_tuple_repetition(self):
+        for repeat in (lambda c: c * 2, lambda c: 2 * c):
+            with pytest.raises(TypeError):
+                repeat(Coefficient.exact(1))
+
+    def test_equal_coefficients_hash_equal(self):
+        pairs = [(Coefficient.exact(Fraction(4, 2)), Coefficient("exact", 2)),
+                 (Coefficient.at_least(Fraction(1, 2)),
+                  Coefficient.from_json({"at_least": "2/4"})),
+                 (Coefficient.at_most(-1),
+                  Coefficient.at_least(2).scaled(-1) + Coefficient.exact(1)),
+                 (UNKNOWN, Coefficient.at_least(0) + Coefficient.at_most(0))]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+        assert len({a for pair in pairs for a in pair}) == len(pairs)
+
+    def test_constructor_normalizes_the_value(self):
+        assert Coefficient.exact(Fraction(2, 2)) == Coefficient("exact", 1)
+        assert type(Coefficient("at_most", Fraction(6, 3)).value) is int
+        with pytest.raises(TypeError):
+            Coefficient("exact", None)
+
+    @pytest.mark.parametrize("c, doc, rep", [
+        (Coefficient.exact(Fraction(-1, 3)), {"exact": "-1/3"},
+         "Coefficient(kind='exact', value=Fraction(-1, 3))"),
+        (Coefficient.at_least(2), {"at_least": "2"}, "Coefficient(kind='at_least', value=2)"),
+        (Coefficient.at_most(-1), {"at_most": "-1"}, "Coefficient(kind='at_most', value=-1)"),
+        (UNKNOWN, "unknown", "Coefficient(kind='unknown', value=None)"),
+    ])
+    def test_json_and_repr(self, c, doc, rep):
+        """The dataclass's forms; test_str pins str."""
+        assert (c.to_json(), repr(c)) == (doc, rep)
 
 
 class TestSpaceAndIndexing:
@@ -1372,6 +1419,34 @@ class TestSymmetrized:
         assert yielded == []
 
 
+# n = 0, where the psi rest is 0 and delta_{g/2:{}} is its own mirror; n = 1,
+# where row 0 holds no orbit; and even g with n >= 1, whose middle row g/2 is
+# split by label 1
+STORE_SPACES = [Space(2, 0), Space(4, 0), Space(3, 1), Space(4, 1), Space(4, 3), Space(6, 2)]
+
+
+def assert_stored_normal(cls):
+    """cls is stored in normal form: no stored entry equals its layer's rest,
+    a psi that lists every label is folded (on n = 0 its rest is Exact(0)),
+    and every stored row, orbit and member exists on the space.  Its document
+    reloads to a class that is equal both ways, stores the same layers and
+    writes the same bytes."""
+    space = cls.space
+    assert cls.psi_rest == EXACT_ZERO if space.n == 0 else len(cls._psi) < space.n
+    assert all(1 <= j <= space.n and c != cls.psi_rest for j, c in cls._psi.items())
+    assert all(is_orbit(space, i, space.n) and row != Row.const(cls._rest)
+               for i, row in cls._rows.items())
+    assert all(is_orbit(space, *key) and c != cls._row(key[0]).at(key[1])
+               for key, c in cls._orbits.items())
+    for key, members in cls._explicit.items():
+        value = cls.orbit_coefficient(*key)
+        assert members and all(canonical_index(space, idx.i, idx.S) == idx
+                               and (idx.i, idx.s) == key and c != value
+                               for idx, c in members.items())
+    again = check_documents(cls)
+    assert cls == again
+
+
 class TestClassDocuments:
     """A class document lists what the class stores: it loads to an equal
     class with the same stored layers and writes the same bytes again, and
@@ -1411,6 +1486,31 @@ class TestClassDocuments:
         for cls in classes:
             check_documents(cls)
             assert len(serialize(cls)) <= 530
+
+    @pytest.mark.parametrize("space", STORE_SPACES, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_every_stored_class_is_normal(self, space, data):
+        """Arithmetic and the package's class builders store their layers
+        without the public constructor; each result is stored as the
+        constructor would store it, so its document reloads to the same bytes."""
+        a = data.draw(symmetrize_classes(space))
+        b = DivisorClass(space, **data.draw(rest_specs(space)))
+        k = data.draw(st.sampled_from([0, -1, 2, Fraction(-1, 2), Fraction(1, 3)]))
+        power, twist = data.draw(st.integers(1, 3)), data.draw(st.integers(-3, 3))
+        assume(power * (2 * space.g - 2) + twist * space.n >= 0)
+        pushed = c1_pushforward(space, power, twist)
+        for x in (a, b, a.add(b), b.add(a), a.scale(k), a.add(a.scale(-1)), a.symmetrized(),
+                  b.symmetrized().scale(k), total_boundary(space, k), pushed, pushed.add(a)):
+            assert_stored_normal(x)
+
+    @pytest.mark.parametrize("t", range(5))
+    def test_every_stored_family_class_is_normal(self, t):
+        q = quad_class(t)
+        e, f = c1_pushforward(q.space, 1, -1), c1_pushforward(q.space, 2, -2)
+        for x in (q, q.add(q), q.scale(Fraction(-1, 2)), q.scale(0), q.symmetrized(),
+                  q.add(total_boundary(q.space, 1)), f.add(e.scale(-(t + 5))).add(q.scale(-1))):
+            assert_stored_normal(x)
 
     @pytest.mark.parametrize("t", [40, 200])
     def test_large_family_classes(self, t):
