@@ -38,11 +38,11 @@ certificate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
-from .exact import Scalar, rat_str, solve_linear
+from .exact import rat_str, solve_linear
 from .family import quad_class
 from .grr import c1_pushforward, total_boundary
 from .picard import (
@@ -119,11 +119,8 @@ def bn_class(g: int) -> DivisorClass:
 # catalog
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    cls: DivisorClass  # a class on the unmarked space M_g has n = 0
-    note: str = ""
+# cls is a DivisorClass; a class on the unmarked space M_g has n = 0
+CatalogEntry = namedtuple("CatalogEntry", "name cls note", defaults=("",))
 
 
 def _builtin_catalog() -> dict:
@@ -194,7 +191,8 @@ def catalog_load(path) -> dict:
             name = entry["name"]
             cat[name] = CatalogEntry(name, class_from_dict(entry["class"]),
                                      entry.get("note", ""))
-    except (KeyError, TypeError, ValueError, PicardError) as e:
+    except (KeyError, TypeError, ValueError, RecursionError, PicardError) as e:
+        # RecursionError: json.load on deeply nested arrays or objects
         raise MalformedClassError(f"malformed catalog file: {e}") from e
     return cat
 
@@ -203,15 +201,14 @@ def catalog_load(path) -> dict:
 # certificate solving
 
 
-@dataclass(frozen=True)
-class Certificate:
-    space: Space
-    a: Scalar
-    components: tuple  # ((name, Scalar), ...)
-    residual: DivisorClass
-    residual_report: tuple  # ((kind, key, status), ...)
-    canonical: DivisorClass  # the K solved against; not in to_json
-    inputs: tuple  # ((name, DivisorClass), ...) as given; not in to_json
+class Certificate(namedtuple("Certificate", "space a components residual residual_report "
+                                            "canonical inputs")):
+    """A solved certificate: its Space, a, the components ((name, Scalar), ...),
+    the residual DivisorClass and its report ((kind, key, status), ...), then,
+    not in to_json, the canonical class K solved against and the inputs
+    ((name, DivisorClass), ...) as given."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         res = self.residual

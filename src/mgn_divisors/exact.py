@@ -21,7 +21,7 @@ dropped, not a second sort.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add
 
@@ -266,10 +266,9 @@ class Poly:
         return f"Poly({self})"
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    status: str  # "unique" | "underdetermined" | "infeasible"
-    vector: tuple | None = None  # numbers in the normal form of `scalar`, or Polys
+# status is "unique", "underdetermined" or "infeasible"; vector, for "unique"
+# only, holds numbers in the normal form of `scalar`, or Polys
+LinearSolution = namedtuple("LinearSolution", "status vector", defaults=(None,))
 
 
 UNDERDETERMINED = LinearSolution("underdetermined")

@@ -25,17 +25,24 @@ this package constructs has one psi coefficient and is label-symmetric on the
 boundary, and its rows are constants or low-degree formulas in s with a few
 exceptions, so arithmetic costs O(listed keys), not O(all orbits) or O(n).
 
-Coefficients and Rows are tuples, built and compared in C.  Every class is
-stored by DivisorClass._store, which drops each entry equal to its layer's
-rest: the constructor checks its arguments first, while arithmetic and the
-package's own class builders store valid layers without those checks.
+Every value type of the package is an immutable tuple of its fields, a
+namedtuple: Space, BoundaryIndex, TestCurve, Coefficient and Row here, and
+the linear solutions, clutching maps, catalog entries and certificates of the
+other modules.  Such a value compares equal to the plain tuple of its fields,
+Space(5, 3) == (5, 3), and a type that checks its fields does so in __new__,
+before the tuple is built.  Coefficients and Rows are built and compared in
+C.  A DivisorClass, which holds its layers in dicts, is not a tuple.
+
+Every class is stored by DivisorClass._store, which drops each entry equal
+to its layer's rest: the constructor checks its arguments first, while
+arithmetic and the package's own class builders store valid layers without
+those checks.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import zip_longest
@@ -85,7 +92,8 @@ class Coefficient(namedtuple("Coefficient", "kind value")):
     tuple allocation, and equality and hashing are the tuple's, decided in C.
     It does not order or repeat as a tuple does, and + is coefficient
     addition.  kind is "exact", "at_least", "at_most" or "unknown" (which
-    stores None).  A known value is stored in the normal form of
+    stores None); another kind, or an unknown given a value, raises
+    ValueError.  A known value is stored in the normal form of
     exact.scalar: an int when it is integral, else a Fraction, never a float.
     The constructor passes an int through and normalizes any other known
     value (a float or None raises TypeError), so every sum, scaling and JSON
@@ -97,8 +105,13 @@ class Coefficient(namedtuple("Coefficient", "kind value")):
     __lt__ = __le__ = __gt__ = __ge__ = __mul__ = __rmul__ = _not_defined
 
     def __new__(cls, kind: str, value: Scalar | None = None):
-        if type(value) is not int and kind != "unknown":
-            value = scalar(value)
+        if kind in _PREFIX:
+            if type(value) is not int:
+                value = scalar(value)
+        elif kind != "unknown":
+            raise ValueError(f"bad coefficient kind {kind!r}")
+        elif value is not None:
+            raise ValueError(f"an unknown coefficient has no value, got {value!r}")
         return _normal((kind, value))
 
     @staticmethod
@@ -282,32 +295,30 @@ UNKNOWN_ROW = Row("unknown")
 # spaces and boundary indexing
 
 
-@dataclass(frozen=True)
-class Space:
-    """The moduli space of stable genus-g curves with n labeled points."""
+class Space(namedtuple("Space", "g n")):
+    """The moduli space of stable genus-g curves with n labeled points, the
+    tuple (g, n).  g >= 2 and n >= 0 are required, which make 3g - 3 + n
+    positive: every such space is stable."""
 
-    g: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.g) is not int or type(self.n) is not int:
-            raise ValueError(f"g and n must be ints, got (g={self.g!r}, n={self.n!r})")
-        if self.g < 2 or self.n < 0:
-            raise ValueError(f"unsupported space (g={self.g}, n={self.n})")
-        if 3 * self.g - 3 + self.n <= 0:
-            raise ValueError(f"unstable space (g={self.g}, n={self.n})")
+    def __new__(cls, g: int, n: int):
+        if type(g) is not int or type(n) is not int:
+            raise ValueError(f"g and n must be ints, got (g={g!r}, n={n!r})")
+        if g < 2 or n < 0:
+            raise ValueError(f"unsupported space (g={g}, n={n})")
+        return tuple.__new__(cls, (g, n))
 
     @property
     def labels(self) -> range:
         return range(1, self.n + 1)
 
 
-@dataclass(frozen=True)
-class BoundaryIndex:
-    """Canonical representative of delta_{i:S} = delta_{g-i:S^c}."""
+class BoundaryIndex(namedtuple("BoundaryIndex", "i S")):
+    """Canonical representative of delta_{i:S} = delta_{g-i:S^c}: the pair
+    (i, S), S a frozenset of labels."""
 
-    i: int
-    S: frozenset
+    __slots__ = ()
 
     @property
     def s(self) -> int:
@@ -519,10 +530,7 @@ class DivisorClass:
 
         explicit = {}
         for key, c in (boundary or {}).items():
-            if isinstance(key, BoundaryIndex):
-                idx = canonical_index(space, key.i, key.S)
-            else:
-                idx = canonical_index(space, key[0], key[1])
+            idx = canonical_index(space, *key)
             members = explicit.setdefault((idx.i, idx.s), {})
             c = coeff(c)
             members[idx] = members[idx] + c if idx in members else c
@@ -776,18 +784,16 @@ class DivisorClass:
         return f"<{body} on (g={self.space.g}, n={self.space.n})>"
 
 
-@dataclass(frozen=True)
-class TestCurve:
+class TestCurve(namedtuple("TestCurve", "space i S")):
     """One-parameter family in delta_{i:S}: the attachment node moves on the
     genus g-i side.  Both (i, S) and, for each label j outside S, the index
     (i, S + {j}) reached when the node meets p_j must be stable; otherwise the
-    moving side is rigid and there is no family."""
+    moving side is rigid and there is no family.  The tuple (space, i, S), S
+    a frozenset."""
 
-    space: Space
-    i: int
-    S: frozenset
+    __slots__ = ()
 
-    def __init__(self, space: Space, i: int, S):
+    def __new__(cls, space: Space, i: int, S):
         # range(1, s+1) is the ints 1..s, all marked iff s <= n
         prefix = type(S) is range and S.start == 1 and S.step == 1
         S = frozenset(S)
@@ -805,9 +811,7 @@ class TestCurve:
                 f"unstable test curve (i={i}, S={sorted(S)}) on (g={space.g}, n={space.n}): "
                 f"the moving side is rigid, (i, S + {{j}}) is unstable for j outside S"
             )
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "S", S)
+        return tuple.__new__(cls, (space, i, S))
 
 
 def _exact_value(c: Coefficient, what: str, *args) -> Scalar:  # names c as what % args
@@ -954,7 +958,7 @@ def class_from_dict(doc: dict) -> DivisorClass:
                     f"S must be a JSON array of distinct JSON integers, got {S!r}")
             S = frozenset(S)
             idx = canonical_index(space, i, S)
-            if (idx.i, idx.S) != (i, S):
+            if idx != (i, S):
                 raise MalformedClassError(
                     f"non-canonical boundary index (i={i}, S={sorted(S)})"
                 )

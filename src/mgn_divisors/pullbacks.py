@@ -10,7 +10,7 @@ boundary rule tables would import conventions nothing here can verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Mapping, Sequence
 
 from .picard import (
@@ -45,46 +45,40 @@ def forgetful_pullback(cls: DivisorClass, n: int) -> DivisorClass:
                         boundary_rows=dict(enumerate(rows)), boundary_rest=rest)
 
 
-@dataclass(frozen=True)
-class TailAttachment:
+class TailAttachment(namedtuple("TailAttachment", "at_label tail_genus tail_labels")):
     """A fixed stable tail glued at a source marked point.
 
     The source point at_label becomes the node; the tail has genus tail_genus
-    and carries the target labels in tail_labels.  The genus (>= 0) and the
-    labels are ints, as in a boundary index.
+    and carries the target labels in tail_labels, a frozenset.  The genus
+    (>= 0) and the labels are ints, as in a boundary index.
     """
 
-    at_label: int
-    tail_genus: int
-    tail_labels: frozenset
+    __slots__ = ()
 
-    def __init__(self, at_label: int, tail_genus: int, tail_labels):
+    def __new__(cls, at_label: int, tail_genus: int, tail_labels):
         tail_labels = frozenset(tail_labels)
         _check_index_types(tail_genus, (at_label, *tail_labels))
         if tail_genus < 0:
             raise ValueError(f"tail genus {tail_genus} is negative")
         if not (tail_genus >= 1 or len(tail_labels) >= 2):
             raise ValueError("tail is unstable: needs genus >= 1 or >= 2 points")
-        object.__setattr__(self, "at_label", at_label)
-        object.__setattr__(self, "tail_genus", tail_genus)
-        object.__setattr__(self, "tail_labels", tail_labels)
+        return tuple.__new__(cls, (at_label, tail_genus, tail_labels))
 
 
-@dataclass(frozen=True)
-class ClutchingMap:
+class ClutchingMap(namedtuple("ClutchingMap", "source target attachments retained")):
     """Gluing map from source into target given by fixed tails at some of the
     source's marked points; retained maps the remaining source labels to
-    target labels, both ints, as in a boundary index."""
+    target labels, both ints, as in a boundary index.  It is stored as the
+    sorted pairs ((source_label, target_label), ...), and either form is read,
+    so a copy or an unpickled map is built from its stored fields."""
 
-    source: Space
-    target: Space
-    attachments: tuple
-    retained: tuple  # ((source_label, target_label), ...)
+    __slots__ = ()
 
-    def __init__(self, source: Space, target: Space,
-                 attachments: Sequence[TailAttachment],
-                 retained: Mapping[int, int]):
+    def __new__(cls, source: Space, target: Space,
+                attachments: Sequence[TailAttachment],
+                retained: Mapping[int, int]):
         attachments = tuple(attachments)
+        retained = dict(retained)
         for pair in retained.items():
             _check_index_types(0, pair)  # source and target labels; no genus here
         retained = tuple(sorted(retained.items()))
@@ -101,10 +95,7 @@ class ClutchingMap:
             raise ValueError("retained + tail labels must partition the target labels")
         if target.g != source.g + sum(a.tail_genus for a in attachments):
             raise ValueError("genus bookkeeping does not match")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "attachments", attachments)
-        object.__setattr__(self, "retained", retained)
+        return tuple.__new__(cls, (source, target, attachments, retained))
 
 
 def clutch_pullback(cls: DivisorClass, m: ClutchingMap) -> DivisorClass:

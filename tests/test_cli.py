@@ -527,6 +527,13 @@ class TestCertifyCatalogErrors:
                                g="12", n="10")
         self._assert_usage_error(result, "catalog", "denominator 0")
 
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000 + "\n",
+                                      '{"entries":' * 100_000 + "[]" + "}" * 100_000],
+                             ids=["arrays", "objects"])
+    def test_deeply_nested_file(self, runner, tmp_path, text):
+        # json.load raises RecursionError here, which is not a ValueError
+        self._assert_usage_error(self._certify(runner, tmp_path, text), "catalog")
+
     def test_valid_override_still_certifies(self, runner, tmp_path):
         doc = {"entries": [{"name": "BN17", "kind": "marked", "class": {
             "space": {"g": 17, "n": 8}, "lambda": {"exact": "20"},
@@ -536,19 +543,31 @@ class TestCertifyCatalogErrors:
         assert "a = 1/20" in result.output
 
 
-def test_cli_imports_only_stdlib_and_click():
-    """The runtime dependencies are the standard library and click.  Modules
-    already loaded at interpreter start-up (site hooks) are not counted."""
+def _loaded_by_cli_import():
+    """The modules that `import mgn_divisors.cli` loads in a fresh interpreter,
+    leaving out those already loaded at start-up (site hooks)."""
     probe = ("import sys; before = set(sys.modules); import mgn_divisors.cli; "
              "print(*sorted(set(sys.modules) - before))")
     src = str(Path(mgn_divisors.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                            capture_output=True, text=True).stdout.split()
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+def test_cli_imports_only_stdlib_and_click():
+    """The runtime dependencies are the standard library and click."""
+    loaded = _loaded_by_cli_import()
     assert "mgn_divisors.cli" in loaded
     allowed = set(sys.stdlib_module_names) | {"click", "mgn_divisors"}
     assert sorted({name.partition(".")[0] for name in loaded} - allowed) == []
+
+
+def test_cli_import_builds_no_dataclass():
+    """Every value type is a namedtuple, so start-up does not import
+    dataclasses and generate classes with it (click does not import it)."""
+    loaded = _loaded_by_cli_import()
+    assert "mgn_divisors.cli" in loaded and "dataclasses" not in loaded
 
 
 def test_width_env_wraps_output(runner, monkeypatch):

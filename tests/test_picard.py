@@ -115,6 +115,15 @@ class TestCoefficient:
         with pytest.raises(TypeError):
             Coefficient("exact", None)
 
+    @pytest.mark.parametrize("kind, value", [("exactt", 1), ("Exact", 1), (None, 1),
+                                             ("unknown", 5), ("unknown", 0)], ids=repr)
+    def test_constructor_refuses_a_kind_it_does_not_have(self, kind, value):
+        # a stored misspelt kind has no str(), and an unknown holding a value
+        # would print and serialize as UNKNOWN without being equal to it
+        with pytest.raises(ValueError):
+            Coefficient(kind, value)
+        assert Coefficient("unknown") == Coefficient("unknown", None) == UNKNOWN
+
     @pytest.mark.parametrize("c, doc, rep", [
         (Coefficient.exact(Fraction(-1, 3)), {"exact": "-1/3"},
          "Coefficient(kind='exact', value=Fraction(-1, 3))"),
