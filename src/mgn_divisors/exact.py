@@ -241,6 +241,9 @@ class Poly:
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its number, so it hashes as that number does
+        if not self.variables:
+            return hash(self.terms.get((), 0))
         return hash((self.variables, frozenset(self.terms.items())))
 
     def __bool__(self):

@@ -146,8 +146,6 @@ def quad_class(t: int) -> DivisorClass:
     space = family_space(t)
     rows = {0: Row.formula("exact", (0, 1 - t, -t - 1), 2),
             1: Row.formula("exact", (-6, t - 1, -t - 1), 2)}
-    if space.n < 2:  # t = 0: row 0 holds no orbit, and a stored class lists no such row
-        del rows[0]
     # classical BN^1_{5,3} value at t = 0
     rest = Coefficient.exact(-6) if t == 0 else Coefficient.at_most(-1)
     return object.__new__(DivisorClass)._store(

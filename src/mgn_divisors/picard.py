@@ -34,9 +34,9 @@ before the tuple is built.  Coefficients and Rows are built and compared in
 C.  A DivisorClass, which holds its layers in dicts, is not a tuple.
 
 Every class is stored by DivisorClass._store, which drops each entry equal
-to its layer's rest: the constructor checks its arguments first, while
-arithmetic and the package's own class builders store valid layers without
-those checks.
+to its layer's rest, and row 0 when n < 2: the constructor checks its
+arguments first, while arithmetic and the package's own class builders
+store valid layers without those checks.
 """
 
 from __future__ import annotations
@@ -56,8 +56,11 @@ class PicardError(Exception):
     pass
 
 
-class UnstableIndexError(PicardError):
-    """The boundary index (and its mirror) violates stability."""
+class UnstableIndexError(PicardError, ValueError):
+    """A boundary index, a row or an orbit that does not exist on the space:
+    a genus index or label out of range, or an unstable split.  `_check_index`
+    raises it for every boundary index, canonical_index's and TestCurve's
+    alike.  It is a ValueError, as every invalid argument is."""
 
 
 class SpaceMismatchError(PicardError):
@@ -337,34 +340,52 @@ def _stable_split(g: int, n: int, i: int, s: int) -> bool:
     return (i >= 1 or s >= 2) and (g - i >= 1 or n - s >= 2)
 
 
-def canonical_index(space: Space, i: int, S) -> BoundaryIndex:
-    """Canonical representative of (i, S) under (i, S) ~ (g-i, S complement).
-
-    Canonical means i < g/2, or i = g/2 with 1 in S (there is no standard
-    delta_{g/2:S} normalization, this is the convention used throughout this
-    package).  On an unmarked space delta_{g/2:{}} is its own mirror and is
-    its own representative.  Idempotent.
-
-    A genus index or label that is not an int raises ValueError; one out of
-    range, or an unstable split, raises UnstableIndexError.  The cost is
-    O(|S|), plus O(n) for the complement when the representative is the
-    mirror.
-    """
+def _check_index(space: Space, i, S, prefix: bool = False) -> None:
+    """Check a boundary index (i, S) on `space`, S a collection of labels:
+    the one check of every boundary index that canonical_index and TestCurve
+    take.  A genus index or label that is not an int raises ValueError; i
+    outside 0..g, a label outside 1..n, or an unstable split raises
+    UnstableIndexError.  With `prefix`, S is known to be the ints 1..|S|
+    (a range(1, s+1)), whose labels are all marked iff |S| <= n: that check
+    is O(1), the others are O(|S|)."""
     g, n = space.g, space.n
-    S = frozenset(S)
-    _check_index_types(i, S)
+    _check_index_types(i, () if prefix else S)
     if not 0 <= i <= g:
         raise UnstableIndexError(f"genus index {i} outside 0..{g}")
-    if not all(1 <= j <= n for j in S):
+    if not (len(S) <= n if prefix else all(1 <= j <= n for j in S)):
         raise UnstableIndexError(f"labels {sorted(S)} outside 1..{n}")
     if not _stable_split(g, n, i, len(S)):
         raise UnstableIndexError(
             f"unstable boundary index (i={i}, S={sorted(S)}) on (g={g}, n={n})"
         )
-    if 2 * i > g:
-        return BoundaryIndex(g - i, frozenset(space.labels) - S)
-    if 2 * i == g and 1 not in S:
-        return BoundaryIndex(i, frozenset(space.labels) - S)
+
+
+def _mirrored(g: int, n: int, i: int, has_1: bool) -> bool:
+    """Whether delta_{i:T} on (g, n) is stored as its mirror delta_{g-i:T^c},
+    where `has_1` says whether label 1 is in T: when 2i > g, or 2i = g on a
+    marked space with 1 outside T.  This is the package's one mirror rule;
+    canonical_index and intersect_test_curve both decide by it.  On an
+    unmarked space delta_{g/2:{}} is its own mirror and is not mirrored."""
+    return 2 * i > g or (2 * i == g and n > 0 and not has_1)
+
+
+def canonical_index(space: Space, i: int, S) -> BoundaryIndex:
+    """Canonical representative of (i, S) under (i, S) ~ (g-i, S complement).
+
+    Canonical means i < g/2, or i = g/2 with 1 in S (there is no standard
+    delta_{g/2:S} normalization, this is the convention used throughout this
+    package), as `_mirrored` decides.  On an unmarked space delta_{g/2:{}}
+    is its own mirror and is its own representative.  Idempotent.
+
+    The index is checked by `_check_index`: a genus index or label that is
+    not an int raises ValueError; one out of range, or an unstable split,
+    raises UnstableIndexError, itself a ValueError.  The cost is O(|S|),
+    plus O(n) for the complement when the representative is the mirror.
+    """
+    S = frozenset(S)
+    _check_index(space, i, S)
+    if _mirrored(space.g, space.n, i, 1 in S):
+        return BoundaryIndex(space.g - i, frozenset(space.labels) - S)
     return BoundaryIndex(i, S)
 
 
@@ -475,8 +496,8 @@ class DivisorClass:
     indices: the orbit's value plus the `boundary` entries in it, stored
     under their orbit.
 
-    The stored form is normal: an entry equal to its layer's rest is dropped,
-    and so is a row that holds no orbit (row 0 when n < 2).  All arithmetic is
+    The stored form is normal: `_store` drops an entry equal to its layer's
+    rest, and a row that holds no orbit (row 0 when n < 2).  All arithmetic is
     generator-wise Coefficient arithmetic, or Row arithmetic on a whole row,
     and costs O(listed keys), independent of n; its results skip the
     constructor's checks.  Two classes that list only rests compare in O(1).
@@ -509,10 +530,8 @@ class DivisorClass:
             if not 0 <= 2 * i <= g:
                 raise UnstableIndexError(f"no canonical boundary row {i} on {space}")
             # a Row built directly is checked and brought to normal form here
-            row = (Row.formula(row.kind, row.num, row.den) if isinstance(row, Row)
-                   else Row.const(coeff(row)))
-            if _row_start(space, i) <= n:
-                rows[i] = row
+            rows[i] = (Row.formula(row.kind, row.num, row.den) if isinstance(row, Row)
+                       else Row.const(coeff(row)))
 
         orbits = {}
         starts = {}  # row i -> its least s, found once per row; n + 1 where there is no row i
@@ -540,12 +559,13 @@ class DivisorClass:
                psi=_NO_ENTRIES, rest=EXACT_ZERO, rows=_NO_ENTRIES, orbits=_NO_ENTRIES,
                explicit=_NO_ENTRIES) -> "DivisorClass":
         """Store the layers in normal form and return self; every class is
-        stored here.  Each entry equal to its layer's rest is dropped, and a
-        psi that lists every label takes its most common value as the rest
-        (Exact(0) on an unmarked space).  Nothing is checked: the values are
-        normal Coefficients (Rows in `rows`), every key is a valid label, row
-        holding an orbit, or orbit, and `explicit` maps an orbit (i, s) to
-        its members under canonical BoundaryIndex keys."""
+        stored here.  Each entry equal to its layer's rest is dropped, and so
+        is row 0 when n < 2, which holds no orbit; a psi that lists every
+        label takes its most common value as the rest (Exact(0) on an
+        unmarked space).  Nothing else is checked: the values are normal
+        Coefficients (Rows in `rows`), every key is a valid label, row
+        0 <= i <= g/2, or orbit, and `explicit` maps an orbit (i, s) to its
+        members under canonical BoundaryIndex keys."""
         if len(psi) == space.n:
             counts = {}
             for c in psi.values():
@@ -561,6 +581,8 @@ class DivisorClass:
         if rows:
             flat = Row.const(rest)
             rows = {i: row for i, row in rows.items() if row != flat}
+            if space.n < 2:
+                rows.pop(0, None)
         self._rows = rows = rows or {}
         self._orbits = {}
         if orbits:
@@ -789,23 +811,22 @@ class TestCurve(namedtuple("TestCurve", "space i S")):
     genus g-i side.  Both (i, S) and, for each label j outside S, the index
     (i, S + {j}) reached when the node meets p_j must be stable; otherwise the
     moving side is rigid and there is no family.  The tuple (space, i, S), S
-    a frozenset."""
+    a frozenset.
+
+    (i, S) is checked by `_check_index`, so a TestCurve rejects an index with
+    canonical_index's exception and text (UnstableIndexError is a
+    ValueError); only the rigid moving side is checked here, and raises a
+    plain ValueError.  An S given as range(1, s+1) is checked in O(1).
+    """
 
     __slots__ = ()
+    __test__ = False  # not a pytest test class, whatever name it is imported under
 
     def __new__(cls, space: Space, i: int, S):
         # range(1, s+1) is the ints 1..s, all marked iff s <= n
         prefix = type(S) is range and S.start == 1 and S.step == 1
         S = frozenset(S)
-        _check_index_types(i, () if prefix else S)
-        if not 0 <= i <= space.g:
-            raise ValueError(f"genus index {i} outside 0..{space.g}")
-        if not (len(S) <= space.n if prefix else all(1 <= j <= space.n for j in S)):
-            raise ValueError("test-curve labels outside the marked set")
-        if not _stable_split(space.g, space.n, i, len(S)):
-            raise ValueError(
-                f"unstable test-curve index (i={i}, S={sorted(S)}) on (g={space.g}, n={space.n})"
-            )
+        _check_index(space, i, S, prefix)
         if len(S) < space.n and not _stable_split(space.g, space.n, i, len(S) + 1):
             raise ValueError(
                 f"unstable test curve (i={i}, S={sorted(S)}) on (g={space.g}, n={space.n}): "
@@ -832,21 +853,24 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Scalar:
     and the n-s-k other labels outside S add the psi rest, which is read only
     when that count is not zero.
 
-    The boundary is read per orbit.  The n-s divisors delta_{i:S+{j}} lie in
-    one canonical orbit, (i, s+1) or its mirror (g-i, n-s-1) when i > g/2; at
-    i = g/2 they split in two by whether label 1 is in S+{j}.  delta_{i:S} is
-    one member of one orbit.  For each orbit met, a walk over its explicit
-    members adds those the curve meets, and the members not listed add the
-    orbit value, read only when there are any; where the class stores no
-    entry for the orbit, that value is its row's formula at s, in ints.
+    The boundary is read per orbit.  Each of the n-s divisors delta_{i:S+{j}}
+    lies in the orbit (i, s+1) or, where `_mirrored` (canonical_index's rule)
+    stores it as its mirror, (g-i, n-s-1); the rule depends on label 1 only
+    at i = g/2, so they lie in one orbit, or at i = g/2 in two, split by
+    whether label 1 is in S+{j}.  delta_{i:S} is one member of one orbit.
+    For each orbit met, a walk over its explicit members adds those the curve
+    meets, and the members not listed add the orbit value, read only when
+    there are any; where the class stores no entry for the orbit, that value
+    is its row's formula at s, in ints.  The test curve has checked (i, S)
+    when it was built, so the pairing checks no index.
 
     The sums start from the int 0, so a class with integral coefficients pairs
     in int arithmetic; the result is in the normal form of exact.scalar.
     """
-    if cls.space != curve.space:
-        raise SpaceMismatchError(f"{cls.space} vs {curve.space}")
-    g, n = curve.space.g, curve.space.n
-    i, S = curve.i, curve.S
+    space, i, S = curve
+    if cls.space != space:
+        raise SpaceMismatchError(f"{cls.space} vs {space}")
+    g, n = space
     s = len(S)
     total = 0
     at_rest = n - s
@@ -858,18 +882,22 @@ def intersect_test_curve(cls: DivisorClass, curve: TestCurve) -> Scalar:
         total += at_rest * _exact_value(cls._psi_rest, "psi_j shared by the unlisted labels")
 
     # (weight, |T|, orbit key, count) per orbit of delta_{i:T} met: T = S+{j}
-    # for the n-s labels j outside S, then T = S; keys mirror when i > g/2
+    # for the n-s labels j outside S, split by whether label 1 is in T (in
+    # every T if in S, else in T = S+{1} alone), then T = S; a key is the
+    # mirror orbit (g-i, n-|T|) where _mirrored says so, and T = S is
+    # mirrored as the T that agree with it on label 1 are
     mult = -(2 * (g - i) - 2 + n - s)
-    if 2 * i < g:
-        visits = [(1, s + 1, (i, s + 1), n - s), (mult, s, (i, s), 1)]
-    elif 2 * i > g:
-        visits = [(1, s + 1, (g - i, n - s - 1), n - s), (mult, s, (g - i, n - s), 1)]
-    else:  # label 1 picks the side: it is in S+{j} for every j if in S, else for j = 1
-        with_1 = n - s if 1 in S else min(1, n - s)
-        visits = [(1, s + 1, (i, s + 1), with_1), (1, s + 1, (i, n - s - 1), n - s - with_1),
-                  (mult, s, (i, s) if 1 in S else (i, n - s), 1)]
-        if s + 1 == n - s - 1:  # both sides are one orbit
-            visits[:2] = [(1, s + 1, (i, s + 1), n - s)]
+    has_1 = 1 in S
+    mirror_1, mirror_not_1 = _mirrored(g, n, i, True), _mirrored(g, n, i, False)
+    key_1 = (g - i, n - s - 1) if mirror_1 else (i, s + 1)
+    key_not_1 = (g - i, n - s - 1) if mirror_not_1 else (i, s + 1)
+    own_key = (g - i, n - s) if (mirror_1 if has_1 else mirror_not_1) else (i, s)
+    if key_1 == key_not_1:  # every delta_{i:S+{j}} lies in one orbit
+        visits = [(1, s + 1, key_1, n - s), (mult, s, own_key, 1)]
+    else:
+        with_1 = n - s if has_1 else min(1, n - s)
+        visits = [(1, s + 1, key_1, with_1), (1, s + 1, key_not_1, n - s - with_1),
+                  (mult, s, own_key, 1)]
     # on an unmarked space at i = g/2 an index is its own mirror: count it once
     mirror_is_other = n > 0 or 2 * i != g
 
@@ -984,5 +1012,5 @@ def class_from_dict(doc: dict) -> DivisorClass:
                             boundary_sym=sym, boundary_rows=rows,
                             psi_rest=Coefficient.from_json(doc.get("psi_rest", zero)),
                             boundary_rest=Coefficient.from_json(doc.get("boundary_rest", zero)))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, UnstableIndexError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise MalformedClassError(f"malformed class document: {e}") from e

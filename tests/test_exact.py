@@ -240,6 +240,28 @@ class TestPolyCanonicalForm:
         assert diff == Poly.const(-1) and diff.variables == ()
 
 
+class TestPolyHash:
+    """A Poly that equals a number hashes as the number does, as Fraction(3)
+    hashes as 3, so sets and dicts take the two for one key."""
+
+    @pytest.mark.parametrize("c", [0, 3, -2, Fraction(1, 2)], ids=str)
+    def test_constant_hashes_as_its_number(self, c):
+        p = Poly.const(c)
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1
+        assert {p: "a"}.get(c) == "a" and {c: "a"}.get(p) == "a"
+
+    @given(polys, polys)
+    def test_equal_polys_hash_equal(self, p, q):
+        for r in (Poly(p.variables[::-1], {e[::-1]: c for e, c in p.terms.items()}),
+                  p + q - q, (2 * p) / 2):
+            assert r == p and hash(r) == hash(p)
+        if p == q:
+            assert hash(p) == hash(q)
+        if p.is_constant:
+            assert hash(p) == hash(p.constant_value())
+
+
 square_systems = st.integers(1, 4).flatmap(
     lambda n: st.tuples(
         st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n),

@@ -641,6 +641,33 @@ class TestPairing:
             errors.append(str(raised.value))
         assert errors[0] == errors[1]
 
+    @pytest.mark.parametrize("g,n", [(2, 0), (2, 3), (4, 0), (4, 2), (5, 3), (6, 2)])
+    def test_rejects_exactly_what_canonical_index_rejects(self, g, n):
+        # a test curve's index errors are canonical_index's: same type, same
+        # text, for a set and for its range(1, s+1) form; only the rigid
+        # moving side is the test curve's own
+        assert issubclass(UnstableIndexError, ValueError)
+        space = Space(g, n)
+        cases = [(i, set(S)) for i in range(-1, g + 2)
+                 for k in range(4) for S in combinations(range(n + 2), k)]
+        cases += [(1.0, {1}), (True, {1}), (1, {1.0}), (1, {True})]
+        for i, S in cases:
+            try:
+                canonical_index(space, i, S)
+            except ValueError as e:
+                forms = [S]
+                if all(type(j) is int for j in S) and S == set(range(1, len(S) + 1)):
+                    forms.append(range(1, len(S) + 1))
+                for labels in forms:
+                    with pytest.raises(ValueError) as raised:
+                        Pencil(space, i, labels)
+                    assert type(raised.value) is type(e) and str(raised.value) == str(e)
+                continue
+            try:
+                Pencil(space, i, S)
+            except ValueError as e:
+                assert type(e) is ValueError and "rigid" in str(e), (i, S)
+
     def test_other_ranges_are_read_label_by_label(self):
         assert Pencil(SPACE_53, 1, range(1, 4, 2)).S == frozenset({1, 3})
         assert Pencil(SPACE_53, 1, range(3, 1, -1)).S == frozenset({2, 3})
@@ -1520,6 +1547,15 @@ class TestClassDocuments:
         for x in (q, q.add(q), q.scale(Fraction(-1, 2)), q.scale(0), q.symmetrized(),
                   q.add(total_boundary(q.space, 1)), f.add(e.scale(-(t + 5))).add(q.scale(-1))):
             assert_stored_normal(x)
+
+    @pytest.mark.parametrize("space", [Space(5, 1), Space(5, 0)], ids=str)
+    def test_store_drops_row_0_where_it_holds_no_orbit(self, space):
+        # _store alone keeps the key space: its callers may pass row 0 when n < 2
+        rows = {0: Row.formula("exact", (0, -1, -3), 2), 1: Row.formula("exact", (-6, 1, -3), 2)}
+        stored = object.__new__(DivisorClass)._store(space, rows=rows)
+        assert list(stored._rows) == [1] and list(rows) == [0, 1]
+        assert serialize(stored) == serialize(DivisorClass(space, boundary_rows=rows))
+        assert serialize(class_from_dict(class_to_dict(stored))) == serialize(stored)
 
     @pytest.mark.parametrize("t", [40, 200])
     def test_large_family_classes(self, t):
