@@ -26,7 +26,6 @@ from .family import (
     b1_recurrence_grid,
     balanced_pairs,
     b_from_pic12,
-    family_space,
     gn_pair,
     quad_class,
     tilde_b,
@@ -36,7 +35,7 @@ from .family import (
     verify_balance,
     verify_tilde_recurrence,
 )
-from .grr import c1_pushforward, porteous_equal_rank, total_boundary
+from .grr import c1_pushforward, porteous_equal_rank
 from .picard import CANONICAL_JSON, DivisorClass
 
 
@@ -130,11 +129,13 @@ def text_run(r) -> str:
                      for line, p, a, b in zip(lines, ok, lhs, rhs))
 
 
-# the ops of the grid runs and of the per-g records, compiled once
+# the ops of the grid runs and of the per-t and per-g records, compiled once
 TILDE_RECURRENCE = (Op("tilde_recurrence", "i", "s", "t"),)
 B1_RECURRENCE = (Op("b1_recurrence", "s", "t"), Op("b1_recurrence_pairing", "s", "t"))
 TILDE_BELOW = (Op("tilde_b_below_known_b", "i", "s", "t", vary=1),)
 CLUTCH = {g: Op(f"clutch_{g}_8_interior", "i", "j") for g in (16, 17)}
+GRR = tuple(Op(name, "t") for name in (
+    "grr_once_twisted", "grr_twice_twisted", "porteous_interior", "porteous_matches_family_interior"))
 AVERAGED = {g: (Op(f"averaged_{g}_8"), Op(f"averaged_{g}_8_symmetric")) for g in (16, 17)}
 
 
@@ -181,27 +182,21 @@ def check_recurrences(t_max: int = 8):
 
 
 def check_grr(t_max: int = 8):
-    once, twice, porteous, matches = (Op(name, "t") for name in (
-        "grr_once_twisted", "grr_twice_twisted", "porteous_interior", "porteous_matches_family_interior"))
     for t0 in range(t_max + 1):
-        space = family_space(t0)
+        q = quad_class(t0)
+        space = q.space
         e = c1_pushforward(space, 1, -1)
         f = c1_pushforward(space, 2, -2)
-        boundary = total_boundary(space, -1)
-        expected_e = DivisorClass(space, lam=1, psi=-1)
-        expected_f = DivisorClass(space, lam=13, psi=-5).add(boundary)
-        yield single(once, (t0,), e == expected_e, True)
-        yield single(twice, (t0,), f == expected_f, True)
         d1 = porteous_equal_rank(e, t0 + 4, f)
-        expected_d1 = DivisorClass(space, lam=8 - t0, psi=t0).add(boundary)
-        yield single(porteous, (t0,), d1 == expected_d1, True)
-        q = quad_class(t0)
-        # two symmetric psi parts agree when their rests do
-        interior_match = (
+        ok = [
+            e == DivisorClass(space, lam=1, psi=-1),
+            f == DivisorClass(space, lam=13, psi=-5, delta_irr=-1, boundary_rest=-1),
+            d1 == DivisorClass(space, lam=8 - t0, psi=t0, delta_irr=-1, boundary_rest=-1),
+            # two symmetric psi parts agree when their rests do
             d1.lam == q.lam and d1.delta_irr == q.delta_irr
-            and d1.psi_symmetric and q.psi_symmetric and d1.psi_rest == q.psi_rest
-        )
-        yield single(matches, (t0,), interior_match, True)
+            and d1.psi_symmetric and q.psi_symmetric and d1.psi_rest == q.psi_rest,
+        ]
+        yield run(GRR, (), [t0] * 4, list(map(int, ok)), [1] * 4, ok)
 
 
 def check_pullbacks():

@@ -4,14 +4,19 @@ Exit codes: 0 when every requested check passes, 1 on a verification failure
 or an unsolvable certificate, 2 on usage errors (click's default), 3 when a
 verify sweep raises an internal error: every run of records it yielded is
 written, the JSON document is left unterminated with no summary, and the
-traceback goes to stderr.  With --json the report is canonical JSON (sorted
-keys, rationals as strings) and is byte-stable across runs.  The only environment knob is MGNDIV_WIDTH, the wrap
-width for human-readable class expressions.
+traceback goes to stderr.  A stdout closed before the output ends (a reader
+that stops early) also exits 1: that is click's handler for a broken pipe,
+not a verification failure, and it prints no traceback.  With --json the
+report is canonical JSON (sorted keys, rationals as strings) and is
+byte-stable across runs.  Every command writes stdout through `_write`, and
+click.echo writes only the messages that go to stderr.  The only environment
+knob is MGNDIV_WIDTH, the wrap width for human-readable class expressions.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import textwrap
 
 import click
@@ -30,15 +35,24 @@ def _width() -> int:
         return 100
 
 
+def _write(text: str) -> None:
+    """Write to stdout, whichever stream sys.stdout is at the call.  The
+    flush makes a closed pipe fail inside the command, where click's handler
+    turns it into exit code 1.  click.echo's ANSI stripping is not needed:
+    canonical JSON escapes every control character, and the text is ASCII."""
+    sys.stdout.write(text)
+    sys.stdout.flush()
+
+
 def _emit_json(doc) -> None:
-    click.echo(CANONICAL_JSON.encode(doc))
+    _write(CANONICAL_JSON.encode(doc) + "\n")
 
 
 def _emit_class(cls, as_json: bool) -> None:
     if as_json:
         _emit_json(class_to_dict(cls))
     else:
-        click.echo(textwrap.fill(repr(cls), width=_width()))
+        _write(textwrap.fill(repr(cls), width=_width()) + "\n")
 
 
 @click.group()
@@ -55,9 +69,9 @@ def table(t_max, as_json):
     if as_json:
         _emit_json({"rows": rows})
     else:
-        click.echo(f"{'t':>3} {'g':>4} {'n':>4}")
-        for r in rows:
-            click.echo(f"{r['t']:>3} {r['g']:>4} {r['n']:>4}")
+        lines = [f"{'t':>3} {'g':>4} {'n':>4}"]
+        lines += [f"{r['t']:>3} {r['g']:>4} {r['n']:>4}" for r in rows]
+        _write("\n".join(lines) + "\n")
 
 
 @main.group(name="class")
@@ -97,7 +111,7 @@ def pullback(preset, as_json):
     _emit_class(_PRESETS[preset](), as_json)
 
 
-# records per write, at least: a write per run through click's stream is slower
+# records per write and flush, at least: a flush per run is slower
 _BATCH = 1024
 
 
@@ -118,29 +132,29 @@ def verify(suite, t_max, as_json):
     """Run a verification sweep and report structured pass/fail records.
 
     Each run the sweep yields is rendered by checks.json_run or text_run and
-    counted, and written once _BATCH records are pending, so memory does not
-    grow with the record count.  The JSON is what json.dumps would write for
-    the whole report.  If the sweep raises, every run it yielded is written,
-    then its traceback on stderr, and the exit code is 3.
+    counted, and written and flushed once _BATCH records are pending, so
+    memory does not grow with the record count.  The JSON is what json.dumps
+    would write for the whole report.  If the sweep raises, every run it
+    yielded is written, then its traceback on stderr, and the exit code is 3.
     """
     sweep = checks.check_all(t_max) if suite == "all" else checks.SUITES[suite](t_max)
     errors = []
     render = checks.json_run if as_json else checks.text_run
     total = failed = written = 0
-    texts, sep = [], "," if as_json else "\n"
+    texts, (sep, end) = [], (",", "") if as_json else ("\n", "\n")
     if as_json:
-        click.echo('{"records":[', nl=False)
+        _write('{"records":[')
     for run in _until_error(sweep, errors):
         ok = run[5]
         total += len(ok)
         failed += ok.count(False)
         texts.append(render(run))
         if total - written >= _BATCH:
-            click.echo(sep.join(texts), nl=not as_json)
+            _write(sep.join(texts) + end)
             # the "" starts a JSON batch after the first with a comma
             texts, written = [""] if as_json else [], total
     if total > written:
-        click.echo(sep.join(texts), nl=not as_json)
+        _write(sep.join(texts) + end)
     if errors:
         import traceback  # only on this path: a cold start does not pay for it
 
@@ -148,9 +162,9 @@ def verify(suite, t_max, as_json):
         raise SystemExit(3)
     summary = {"total": total, "passed": total - failed, "failed": failed, "all_pass": not failed}
     if as_json:
-        click.echo('],"summary":' + CANONICAL_JSON.encode(summary) + "}")
+        _write('],"summary":' + CANONICAL_JSON.encode(summary) + "}\n")
     else:
-        click.echo(f"{summary['passed']}/{total} checks passed")
+        _write(f"{summary['passed']}/{total} checks passed\n")
     raise SystemExit(0 if summary["all_pass"] else 1)
 
 
@@ -174,17 +188,16 @@ def certify_cmd(g, n, catalog_path, as_json):
     if as_json:
         _emit_json(doc)
     else:
-        click.echo(f"space (g={g}, n={n}):  K = a*sum(psi) + sum c_k D_k + E")
-        click.echo(f"  a = {doc['a']}")
-        for comp in doc["components"]:
-            click.echo(f"  c[{comp['name']}] = {comp['c']}")
-        click.echo("  residual interior: lambda=0, psi=0, delta_irr=0")
+        lines = [f"space (g={g}, n={n}):  K = a*sum(psi) + sum c_k D_k + E", f"  a = {doc['a']}"]
+        lines += [f"  c[{comp['name']}] = {comp['c']}" for comp in doc["components"]]
+        lines.append("  residual interior: lambda=0, psi=0, delta_irr=0")
         for b in doc["residual"]["boundary"]:
             if "s" in b:
-                click.echo(f"  residual delta[{b['i']}:|S|={b['s']}]: {b['status']}")
+                lines.append(f"  residual delta[{b['i']}:|S|={b['s']}]: {b['status']}")
             else:
                 labels = ",".join(map(str, b["S"]))
-                click.echo(f"  residual delta[{b['i']}:{{{labels}}}]: {b['status']}")
+                lines.append(f"  residual delta[{b['i']}:{{{labels}}}]: {b['status']}")
+        _write("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

@@ -119,6 +119,8 @@ class Coefficient(namedtuple("Coefficient", "kind value")):
 
     @staticmethod
     def exact(v: Scalar) -> "Coefficient":
+        if type(v) is int:  # already normal: one tuple, no checks
+            return _normal(("exact", v))
         return Coefficient("exact", v)
 
     @staticmethod
@@ -206,6 +208,8 @@ _NO_ENTRIES = MappingProxyType({})  # an empty layer, read-only
 
 def coeff(x) -> Coefficient:
     """Wrap a scalar as Exact; pass Coefficient values through."""
+    if type(x) is int:  # the common case, already normal
+        return _normal(("exact", x))
     if isinstance(x, Coefficient):
         return x
     return Coefficient("exact", x)

@@ -226,13 +226,18 @@ class TestRecordRows:
             checks.run((checks.Op("injected", "i", "t"),), (0,), column, lhs, rhs, ok)
 
 
+# the four records of one verify grr run, one t
+GRR_OPS = ("grr_once_twisted", "grr_twice_twisted", "porteous_interior",
+           "porteous_matches_family_interior")
+
+
 class TestVerifyStream:
     """verify writes runs of records in batches as the sweep yields them."""
 
     @pytest.fixture()
     def grr_with_one_failure(self, monkeypatch):
         """check_grr yields one failing run of one record between passing
-        ones; small batches put it mid-stream."""
+        ones, after the four records of t=0; small batches put it mid-stream."""
         sweep = checks.check_grr
 
         def failing(t_max):
@@ -249,7 +254,7 @@ class TestVerifyStream:
         assert result.exit_code == 1
         doc = json.loads(result.output)
         assert doc["summary"] == {"all_pass": False, "failed": 1, "passed": 8, "total": 9}
-        assert [r["pass"] for r in doc["records"]] == [True, False] + [True] * 7
+        assert [r["pass"] for r in doc["records"]] == [True] * 4 + [False] + [True] * 4
         assert result.output == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     def test_failure_text(self, runner, grr_with_one_failure):
@@ -274,14 +279,15 @@ class TestVerifyStream:
     def test_internal_error_json(self, runner, grr_that_raises):
         result = runner.invoke(main, ["verify", "grr", "--t-max", "1", "--json"])
         assert result.exit_code == 3
-        record = '{"inputs":{"t":0},"lhs":"1","op":"grr_once_twisted","pass":true,"rhs":"1"}'
-        assert result.stdout == '{"records":[' + record
+        records = ",".join(
+            '{"inputs":{"t":0},"lhs":"1","op":"%s","pass":true,"rhs":"1"}' % op for op in GRR_OPS)
+        assert result.stdout == '{"records":[' + records
         assert "RuntimeError: injected internal error" in result.stderr
 
     def test_internal_error_text(self, runner, grr_that_raises):
         result = runner.invoke(main, ["verify", "grr", "--t-max", "1"])
         assert result.exit_code == 3
-        assert result.stdout == "PASS grr_once_twisted t=0\n"
+        assert result.stdout == "".join(f"PASS {op} t=0\n" for op in GRR_OPS)
         assert "RuntimeError: injected internal error" in result.stderr
 
     @pytest.mark.parametrize("batch", [1, 2, 7])
@@ -543,15 +549,22 @@ class TestCertifyCatalogErrors:
         assert "a = 1/20" in result.output
 
 
+def _src_env():
+    """The environment of a fresh interpreter that imports this package's
+    source, with stdout block-buffered on a pipe, Python's default."""
+    src = str(Path(mgn_divisors.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def _loaded_by_cli_import():
     """The modules that `import mgn_divisors.cli` loads in a fresh interpreter,
     leaving out those already loaded at start-up (site hooks)."""
     probe = ("import sys; before = set(sys.modules); import mgn_divisors.cli; "
              "print(*sorted(set(sys.modules) - before))")
-    src = str(Path(mgn_divisors.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    return subprocess.run([sys.executable, "-c", probe], env=_src_env(), check=True,
                           capture_output=True, text=True).stdout.split()
 
 
@@ -674,3 +687,44 @@ def test_stdout_bytes_pinned(runner, command):
     result = runner.invoke(main, command.split())
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == PINNED_STDOUT[command]
+
+
+# CliRunner replaces sys.stdout; these run the command on a process's own stdout
+_MGNDIV = [sys.executable, "-m", "mgn_divisors.cli"]
+
+
+def test_process_stdout_bytes_pinned():
+    command = "verify grr --t-max 16 --json"
+    out = subprocess.run([*_MGNDIV, *command.split()], env=_src_env(), check=True,
+                         capture_output=True).stdout
+    assert hashlib.sha256(out).hexdigest() == PINNED_STDOUT[command]
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    """A reader that closes the pipe after 100 bytes makes a later write fail;
+    click's handler exits 1 and prints no traceback."""
+    with subprocess.Popen([*_MGNDIV, "verify", "recurrences", "--t-max", "14", "--json"],
+                          env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as p:
+        head = p.stdout.read(100)
+        p.stdout.close()
+        err = p.stderr.read()
+        code = p.wait(timeout=120)
+    assert head.startswith(b'{"records":[') and len(head) == 100
+    assert code == 1
+    assert b"Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["table", "class quad --t 3", "verify grr --t-max 2 --json",
+                                     "certify --g 16 --n 8"])
+def test_stdout_closed_before_start_exits_1_without_traceback(command):
+    """Each command flushes what it writes before it returns, so the failed
+    write reaches click's handler and not the interpreter's exit."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        p = subprocess.run([*_MGNDIV, *command.split()], env=_src_env(), stdout=write_end,
+                           stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert p.returncode == 1
+    assert b"Traceback" not in p.stderr and b"Exception ignored" not in p.stderr

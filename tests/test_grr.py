@@ -135,10 +135,10 @@ def test_grr_sweep_enumerates_no_orbits(boundary_orbit_yields):
     assert yielded
 
 
-def test_grr_sweep_builds_eleven_classes_per_t(monkeypatch):
-    """Work count, not time: per t the GRR sweep stores 11 classes, and only
-    the 3 expected classes it builds from plain numbers go through the
-    validating constructor.  Arithmetic, the pushforwards, total_boundary and
+def test_grr_sweep_builds_eight_classes_per_t(monkeypatch):
+    """Work count, not time: per t the GRR sweep yields one run and stores 8
+    classes, and only the 3 expected classes it builds from plain numbers go
+    through the validating constructor.  Arithmetic, the pushforwards and
     quad_class store their layers directly."""
     store, validate = DivisorClass._store, DivisorClass.__init__
     stored, validated = [], []
@@ -154,12 +154,12 @@ def test_grr_sweep_builds_eleven_classes_per_t(monkeypatch):
     monkeypatch.setattr(DivisorClass, "_store", counting_store)
     monkeypatch.setattr(DivisorClass, "__init__", counting_init)
     per_t = []
-    for k, _ in enumerate(checks.check_grr(16), 1):
-        if k % 4 == 0:  # four records per t
-            per_t.append((len(stored), len(validated)))
-            stored.clear()
-            validated.clear()
-    assert per_t == [(11, 3)] * 17
+    for run in checks.check_grr(16):
+        assert len(run[5]) == 4  # four records per t
+        per_t.append((len(stored), len(validated)))
+        stored.clear()
+        validated.clear()
+    assert per_t == [(8, 3)] * 17
 
 
 def test_psi_work_does_not_grow_with_n(monkeypatch):
